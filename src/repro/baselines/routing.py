@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Protocol
 
 import numpy as np
@@ -86,7 +86,6 @@ __all__ = [
     "RoutingKernel",
     "RoutingOutcome",
     "ThresholdFeed",
-    "GroupDraws",
     "RandomSplitKernel",
     "RedundancyKernel",
     "ReissueKernel",
@@ -146,44 +145,6 @@ def _primary_choice(
     return rng.integers(0, n_replicas, n)
 
 
-@dataclass
-class GroupDraws:
-    """Pre-drawn randomness for one replica group's whole interval.
-
-    The exact chunked simulator cannot draw per chunk — the legacy
-    single-pass draw *order* (primary choices, then each replica's
-    service samples, group by group) is pinned by the golden sample
-    paths, and per-chunk draws would interleave differently.  So it
-    draws everything up front in exactly the legacy call order
-    (:meth:`RandomSplitKernel.predraw_group`) and each chunk consumes
-    consecutive slices via the cursors here.  O(interval) buffers — the
-    exact chunked path trades no memory for its bit-identity guarantee;
-    the O(chunk)-memory path is the streaming one, which re-draws per
-    chunk from a documented different (still seeded) stream.
-    """
-
-    primary: np.ndarray
-    samples: List[np.ndarray]
-    _primary_cursor: int = 0
-    _sample_cursors: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self._sample_cursors:
-            self._sample_cursors = [0] * len(self.samples)
-
-    def next_primary(self, count: int) -> np.ndarray:
-        """The next ``count`` primary-replica choices."""
-        start = self._primary_cursor
-        self._primary_cursor = start + count
-        return self.primary[start : start + count]
-
-    def next_samples(self, replica: int, count: int) -> np.ndarray:
-        """The next ``count`` service samples for ``replica``."""
-        start = self._sample_cursors[replica]
-        self._sample_cursors[replica] = start + count
-        return self.samples[replica][start : start + count]
-
-
 class RoutingKernel(ABC):
     """How one replica group serves one interval's sub-requests."""
 
@@ -192,11 +153,11 @@ class RoutingKernel(ABC):
     #: right with per-component queue carry-over; kernels with
     #: interval-global coupling (redundancy's sibling cancellation,
     #: reissue's own-interval percentile threshold) cannot, and the
-    #: simulator falls back to the monolithic path for them.
+    #: simulator serves the whole interval in one window for them.
     supports_chunking: bool = False
 
     @abstractmethod
-    def route_group(
+    def route_group_outcome(
         self,
         arrivals: np.ndarray,
         group: ReplicaGroup,
@@ -206,8 +167,9 @@ class RoutingKernel(ABC):
         services: Dict[str, List[np.ndarray]],
         scale: "np.ndarray | None" = None,
         carries: "Optional[Dict[str, LindleyCarry]]" = None,
-    ) -> np.ndarray:
-        """Serve ``arrivals`` on ``group``; return per-request latency.
+    ) -> RoutingOutcome:
+        """Serve ``arrivals`` on ``group``; return the per-request
+        latency and the realized duplicate count.
 
         Appends each component's sub-request sojourns (metric 1: the
         quickest copy's latency, attributed to the winning replica) to
@@ -223,37 +185,9 @@ class RoutingKernel(ABC):
 
         ``carries`` (chunk-capable kernels only) threads each
         component's :class:`~repro.simcore.lindley.LindleyCarry` across
-        successive calls, so ``arrivals`` may be one chunk of a longer
+        successive calls, so ``arrivals`` may be one window of a longer
         stream; kernels that cannot chunk raise if it is passed.
         """
-
-    def route_group_outcome(
-        self,
-        arrivals: np.ndarray,
-        group: ReplicaGroup,
-        dists: Mapping[str, Distribution],
-        rng: np.random.Generator,
-        sojourns: Dict[str, List[np.ndarray]],
-        services: Dict[str, List[np.ndarray]],
-        scale: "np.ndarray | None" = None,
-        carries: "Optional[Dict[str, LindleyCarry]]" = None,
-    ) -> RoutingOutcome:
-        """:meth:`route_group` plus realized duplicate accounting.
-
-        The default wraps :meth:`route_group` with ``duplicates=0`` —
-        correct for every single-copy kernel, and what third-party
-        kernels implementing only :meth:`route_group` inherit.
-        Duplicate-producing kernels override this with their real body
-        (and implement :meth:`route_group` as the ``.latencies``
-        projection), so both entry points share one sample path.
-        """
-        return RoutingOutcome(
-            self.route_group(
-                arrivals, group, dists, rng, sojourns, services, scale,
-                carries,
-            ),
-            0,
-        )
 
     def bind_threshold_feed(self, feed: ThresholdFeed) -> "RoutingKernel":
         """Return a kernel wired to ``feed``; non-adaptive kernels are
@@ -267,10 +201,10 @@ class RandomSplitKernel(RoutingKernel):
 
     supports_chunking = True
 
-    def route_group(
+    def route_group_outcome(
         self, arrivals, group, dists, rng, sojourns, services, scale=None,
         carries=None,
-    ) -> np.ndarray:
+    ) -> RoutingOutcome:
         n = arrivals.size
         r_count = group.n_replicas
         primary = _primary_choice(n, r_count, rng)
@@ -291,60 +225,7 @@ class RandomSplitKernel(RoutingKernel):
             group_lat[mask] = soj
             sojourns[comp.name].append(soj)
             services[comp.name].append(s)
-        return group_lat
-
-    def predraw_group(
-        self,
-        n_sub: int,
-        group: ReplicaGroup,
-        dists: Mapping[str, Distribution],
-        rng: np.random.Generator,
-    ) -> GroupDraws:
-        """Draw the whole interval's randomness in the legacy order.
-
-        One ``_primary_choice`` call, then one ``sample`` call per
-        replica sized by its primary count — call-for-call the draws
-        :meth:`route_group` makes, so the values (and every RNG
-        consumer after this group) are bit-identical to the monolithic
-        pass whatever chunk size later slices them.
-        """
-        primary = _primary_choice(n_sub, group.n_replicas, rng)
-        samples = []
-        for r, comp in enumerate(group.components):
-            count = int(np.count_nonzero(primary == r))
-            samples.append(
-                np.asarray(dists[comp.name].sample(rng, count), dtype=np.float64)
-            )
-        return GroupDraws(primary, samples)
-
-    def route_chunk(
-        self,
-        arrivals: np.ndarray,
-        group: ReplicaGroup,
-        draws: GroupDraws,
-        scale: "np.ndarray | None",
-        sojourns: Dict[str, List[np.ndarray]],
-        services: Dict[str, List[np.ndarray]],
-        carries: Dict[str, LindleyCarry],
-    ) -> np.ndarray:
-        """Serve one chunk from pre-drawn randomness with queue carry."""
-        m = arrivals.size
-        primary = draws.next_primary(m)
-        group_lat = np.empty(m)
-        for r, comp in enumerate(group.components):
-            mask = primary == r
-            t = arrivals[mask]
-            s = draws.next_samples(r, t.size)
-            if scale is not None:
-                s = s * scale[mask]
-            w, carries[comp.name] = lindley_waits_chunked(
-                t, s, carries.get(comp.name), validate=False
-            )
-            soj = w + s
-            group_lat[mask] = soj
-            sojourns[comp.name].append(soj)
-            services[comp.name].append(s)
-        return group_lat
+        return RoutingOutcome(group_lat)
 
 
 @dataclass(frozen=True)
@@ -362,14 +243,6 @@ class RedundancyKernel(RoutingKernel):
         if self.cancel_delay_s < 0:
             raise ConfigurationError("cancel_delay_s must be >= 0")
 
-    def route_group(
-        self, arrivals, group, dists, rng, sojourns, services, scale=None,
-        carries=None,
-    ) -> np.ndarray:
-        return self.route_group_outcome(
-            arrivals, group, dists, rng, sojourns, services, scale, carries
-        ).latencies
-
     def route_group_outcome(
         self, arrivals, group, dists, rng, sojourns, services, scale=None,
         carries=None,
@@ -383,11 +256,8 @@ class RedundancyKernel(RoutingKernel):
         r_count = group.n_replicas
         k = min(self.replicas, r_count)
         if k == 1 or n == 0:
-            return RoutingOutcome(
-                RandomSplitKernel().route_group(
-                    arrivals, group, dists, rng, sojourns, services, scale
-                ),
-                0,
+            return RandomSplitKernel().route_group_outcome(
+                arrivals, group, dists, rng, sojourns, services, scale
             )
         primary = _primary_choice(n, r_count, rng)
         # copy c of request i runs on replica (primary[i] + c) % r_count.
@@ -466,14 +336,6 @@ class ReissueKernel(RoutingKernel):
         """
         return float(np.percentile(soj1, self.quantile * 100.0)) if n else 0.0
 
-    def route_group(
-        self, arrivals, group, dists, rng, sojourns, services, scale=None,
-        carries=None,
-    ) -> np.ndarray:
-        return self.route_group_outcome(
-            arrivals, group, dists, rng, sojourns, services, scale, carries
-        ).latencies
-
     def route_group_outcome(
         self, arrivals, group, dists, rng, sojourns, services, scale=None,
         carries=None,
@@ -486,11 +348,8 @@ class ReissueKernel(RoutingKernel):
         n = arrivals.size
         r_count = group.n_replicas
         if r_count == 1 or n == 0:
-            return RoutingOutcome(
-                RandomSplitKernel().route_group(
-                    arrivals, group, dists, rng, sojourns, services, scale
-                ),
-                0,
+            return RandomSplitKernel().route_group_outcome(
+                arrivals, group, dists, rng, sojourns, services, scale
             )
         primary = _primary_choice(n, r_count, rng)
         # Pass 1: primary-only sample paths give each request's would-be

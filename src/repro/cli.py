@@ -182,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--chunk-requests", type=_positive_int, default=None,
             dest="chunk_requests",
-            help="simulate each interval's arrivals in chunks of this "
-            "many requests (Basic routing); exact-mode chunked runs "
-            "are bit-identical to monolithic ones, and large intervals "
-            "stream in O(chunk) memory",
+            help="with streamed summaries, simulate each interval in "
+            "windows of about this many requests, in O(chunk) memory "
+            "(Basic/PCS routing); exact summaries ignore it (contract: "
+            "the repro.sim.queue_sim module docstring)",
         )
         p.add_argument(
             "--summary-mode",

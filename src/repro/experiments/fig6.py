@@ -128,8 +128,8 @@ class Fig6Config:
     #: Request-class mix re-weighting, ``((name, weight), ...)``; `None``
     #: runs the scenario's declared mix (validated by the runner).
     class_mix: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Chunked interval simulation (``RunnerConfig.chunk_requests``):
-    #: ``None`` keeps the monolithic exact path.
+    #: Streamed-run window size, forwarded to
+    #: ``RunnerConfig.chunk_requests``.
     chunk_requests: Optional[int] = None
     #: Latency summary mode forwarded to the runner (``"auto"`` /
     #: ``"exact"`` / ``"streaming"``).

@@ -34,36 +34,31 @@ Per the paper's metric definition (§VI-A), the pooled component-latency
 sample records, for redundancy/reissue policies, the latency of the
 *quickest* replica of each sub-request.
 
-Scaling to 10⁶–10⁷ requests per interval
-----------------------------------------
-``chunk_requests`` processes the interval in fixed-size request chunks,
-threading each component's Lindley queue state across chunk boundaries
-(:class:`~repro.simcore.lindley.LindleyCarry`).  Two collection modes:
+Windows and the streaming contract
+----------------------------------
+One traversal of the stage DAG serves every mode; a loop feeds it the
+interval as consecutive time windows, each with its own Poisson
+arrivals (a Poisson count plus sorted uniforms per window is an exact
+Poisson process).
 
-- **exact chunked** (``chunk_requests`` set, no ``stream_into``): all
-  randomness is pre-drawn in the legacy single-pass call order and
-  sliced per chunk, and the Lindley carry replays the monolithic float
-  operations exactly — the returned :class:`IntervalOutcome` is
-  **bit-identical** to the unchunked one for any chunk size (the
-  identity tests' contract).  Sample arrays are still O(requests); this
-  mode exists as the provable stepping stone between the legacy path
-  and the streaming one.
-- **streaming chunked** (``chunk_requests`` + ``stream_into``): true
-  single-pass O(chunk) memory.  Arrivals are generated per time window
-  (Poisson count + sorted uniforms per window — an exact Poisson
-  process), service randomness is drawn per chunk (a different, still
-  fully seeded stream than the monolithic path — no bit-identity
-  contract, by design), and every chunk's latencies are folded into the
-  caller's :class:`~repro.sim.estimators.IntervalAccumulatorSet` and
-  freed.  The returned outcome carries the accumulators instead of
-  sample arrays.
-
-Only kernels with ``supports_chunking`` (random splitting — Basic/PCS)
-can chunk; for the others (redundancy's sibling cancellation and
-reissue's interval-global percentile timer are inherently
-whole-interval) the simulator silently falls back to the monolithic
-pass, still honouring ``stream_into`` by folding the monolithic arrays
-into the accumulators at the end.
+- **Exact mode** (no ``stream_into``) runs one window spanning the
+  whole interval and returns every sample array.  It ignores
+  ``chunk_requests``, so its sample paths are bit-identical whatever
+  that setting says (golden-pinned).
+- **Streamed chunking** (``stream_into`` + ``chunk_requests`` on a
+  kernel with ``supports_chunking`` — random splitting, Basic/PCS)
+  runs windows of about ``chunk_requests`` expected arrivals, threads
+  each component's Lindley queue state across them
+  (:class:`~repro.simcore.lindley.LindleyCarry`) and folds every window
+  into the caller's :class:`~repro.sim.estimators.
+  IntervalAccumulatorSet` before drawing the next: O(chunk) memory.
+  Drawing per window consumes the seeded stream in a different order
+  than one whole-interval window, so it matches exact mode in
+  distribution, not sample path by sample path.
+- **Chunk-incapable kernels** (redundancy's sibling cancellation and
+  reissue's interval-global percentile timer couple the whole
+  interval) always run one window; under ``stream_into`` that window
+  is folded into the accumulators like any other.
 """
 
 from __future__ import annotations
@@ -81,6 +76,9 @@ from repro.simcore.distributions import Distribution
 from repro.simcore.lindley import LindleyCarry
 
 __all__ = ["IntervalOutcome", "simulate_service_interval", "poisson_arrivals"]
+
+#: Per-component sample arrays, one part per kernel call.
+_Parts = Dict[str, List[np.ndarray]]
 
 
 @dataclass
@@ -186,6 +184,69 @@ def _class_draws(
     return class_of, classes.service_scales[class_of]
 
 
+def _traverse(
+    topology: ServiceTopology,
+    kernel,
+    arrivals: np.ndarray,
+    class_of: Optional[np.ndarray],
+    scale: Optional[np.ndarray],
+    classes: Optional[ResolvedClassMix],
+    service_dists: Mapping[str, Distribution],
+    rng: np.random.Generator,
+    carries: Optional[Dict[str, LindleyCarry]],
+) -> Tuple[np.ndarray, _Parts, _Parts, int]:
+    """One window's requests through the stage DAG.
+
+    Returns the overall latencies (Eq. 4's critical path), each
+    component's sojourn and executed-service parts, and the realized
+    duplicate count.
+    """
+    n = arrivals.size
+    sojourns: _Parts = {c.name: [] for c in topology.components}
+    services: _Parts = {c.name: [] for c in topology.components}
+    predecessors = topology.predecessor_indices
+    completions: List[np.ndarray] = []
+    duplicates = 0
+    gi = 0  # stage-major global group index (class-matrix column)
+    for si, stage in enumerate(topology.stages):
+        stage_lat = np.zeros(n)
+        for group in stage.groups:
+            take: Optional[np.ndarray] = None
+            if classes is not None:
+                # Each request joins with its *class's* effective
+                # participation (0 drops the group from that class's DAG
+                # without any draw noise — the comparison is still made,
+                # keeping draw counts fixed).
+                p_req = classes.group_participation[class_of, gi]
+                gi += 1
+                if not np.all(p_req >= 1.0):
+                    take = rng.random(n) < p_req
+            elif group.optional:
+                # Probabilistic branch: each request joins this group's
+                # fan-out with probability `participation`; skipped
+                # requests contribute nothing to the stage max.
+                take = rng.random(n) < group.participation
+            if take is None:
+                out = kernel.route_group_outcome(
+                    arrivals, group, service_dists, rng, sojourns, services,
+                    scale, carries,
+                )
+                np.maximum(stage_lat, out.latencies, out=stage_lat)  # Eq. 3
+            else:
+                out = kernel.route_group_outcome(
+                    arrivals[take], group, service_dists, rng,
+                    sojourns, services,
+                    None if scale is None else scale[take], carries,
+                )
+                stage_lat[take] = np.maximum(stage_lat[take], out.latencies)
+            duplicates += out.duplicates
+        completions.append(
+            _stage_completions(predecessors[si], completions, stage_lat)
+        )
+    overall = _compose_overall(topology, completions)
+    return overall, sojourns, services, duplicates
+
+
 def _compose_overall(
     topology: ServiceTopology, completions: List[np.ndarray]
 ) -> np.ndarray:
@@ -207,6 +268,13 @@ def _stage_completions(
     for p in preds[1:]:
         ready = np.maximum(ready, completions[p])
     return ready + stage_lat
+
+
+def _concatenated(parts: _Parts) -> Dict[str, np.ndarray]:
+    return {
+        name: (np.concatenate(p) if p else np.empty(0))
+        for name, p in parts.items()
+    }
 
 
 def simulate_service_interval(
@@ -274,321 +342,53 @@ def simulate_service_interval(
         raise SimulationError(
             f"chunk_requests must be >= 1, got {chunk_requests}"
         )
-    kernel = routing_kernel_for(policy)
-    if threshold_feed is not None:
-        kernel = kernel.bind_threshold_feed(threshold_feed)
-    if chunk_requests is not None and kernel.supports_chunking:
-        if stream_into is None:
-            return _simulate_chunked_exact(
-                topology, kernel, arrival_rate, duration_s,
-                service_dists, rng, classes, chunk_requests,
-            )
-        return _simulate_chunked_streaming(
-            topology, kernel, arrival_rate, duration_s,
-            service_dists, rng, classes, chunk_requests, stream_into,
-        )
-    outcome = _simulate_monolithic(
-        topology, kernel, arrival_rate, duration_s, service_dists, rng,
-        classes,
-    )
-    if stream_into is None:
-        return outcome
-    # Monolithic fallback under streaming collection (chunk-incapable
-    # kernel, or no chunk size given): fold the arrays in at the end.
-    stream_into.add_chunk(
-        outcome.request_latencies,
-        {name: [arr] for name, arr in outcome.component_sojourns.items()},
-        outcome.class_of,
-        outcome.class_names,
-    )
-    return IntervalOutcome(
-        request_latencies=np.empty(0),
-        component_sojourns={c.name: np.empty(0) for c in topology.components},
-        component_service_samples={
-            c.name: np.empty(0) for c in topology.components
-        },
-        duration_s=float(duration_s),
-        arrival_rate=float(arrival_rate),
-        class_of=None,
-        class_names=outcome.class_names,
-        streaming=stream_into,
-        duplicates=outcome.duplicates,
-    )
-
-
-def _simulate_monolithic(
-    topology: ServiceTopology,
-    kernel,
-    arrival_rate: float,
-    duration_s: float,
-    service_dists: Mapping[str, Distribution],
-    rng: np.random.Generator,
-    classes: Optional[ResolvedClassMix],
-) -> IntervalOutcome:
-    """The exact legacy single pass (golden-pinned sample paths)."""
-    arrivals = poisson_arrivals(arrival_rate, duration_s, rng)
-    n = arrivals.size
-    class_of, scale = _class_draws(classes, rng, n)
-    sojourns: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    services: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    predecessors = topology.predecessor_indices
-    completions: List[np.ndarray] = []
-    duplicates = 0
-    gi = 0  # stage-major global group index (class-matrix column)
-    for si, stage in enumerate(topology.stages):
-        stage_lat = np.zeros(n)
-        for group in stage.groups:
-            if classes is not None:
-                p_req = classes.group_participation[class_of, gi]
-                gi += 1
-                if np.all(p_req >= 1.0):
-                    out = kernel.route_group_outcome(
-                        arrivals, group, service_dists, rng,
-                        sojourns, services, scale,
-                    )
-                    duplicates += out.duplicates
-                    if n:
-                        np.maximum(stage_lat, out.latencies, out=stage_lat)
-                    continue
-                # Class-conditional branch: each request joins with its
-                # *class's* effective participation (0 drops the group
-                # from that class's DAG without any draw noise — the
-                # comparison is still made, keeping draw counts fixed).
-                take = rng.random(n) < p_req
-                out = kernel.route_group_outcome(
-                    arrivals[take], group, service_dists, rng,
-                    sojourns, services,
-                    scale[take] if scale is not None else None,
-                )
-                duplicates += out.duplicates
-                if n:
-                    stage_lat[take] = np.maximum(stage_lat[take], out.latencies)
-                continue
-            if group.optional:
-                # Probabilistic branch: each request joins this group's
-                # fan-out with probability `participation`; skipped
-                # requests contribute nothing to the stage max.
-                take = rng.random(n) < group.participation
-                out = kernel.route_group_outcome(
-                    arrivals[take], group, service_dists, rng,
-                    sojourns, services,
-                )
-                duplicates += out.duplicates
-                if n:
-                    stage_lat[take] = np.maximum(stage_lat[take], out.latencies)
-                continue
-            out = kernel.route_group_outcome(
-                arrivals, group, service_dists, rng, sojourns, services
-            )
-            duplicates += out.duplicates
-            if n:
-                np.maximum(stage_lat, out.latencies, out=stage_lat)  # Eq. 3
-        completions.append(
-            _stage_completions(predecessors[si], completions, stage_lat)
-        )
-    overall = _compose_overall(topology, completions)
-    return IntervalOutcome(
-        request_latencies=overall,
-        component_sojourns={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in sojourns.items()
-        },
-        component_service_samples={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in services.items()
-        },
-        duration_s=float(duration_s),
-        arrival_rate=float(arrival_rate),
-        class_of=class_of,
-        class_names=None if classes is None else classes.names,
-        duplicates=duplicates,
-    )
-
-
-def _simulate_chunked_exact(
-    topology: ServiceTopology,
-    kernel,
-    arrival_rate: float,
-    duration_s: float,
-    service_dists: Mapping[str, Distribution],
-    rng: np.random.Generator,
-    classes: Optional[ResolvedClassMix],
-    chunk: int,
-) -> IntervalOutcome:
-    """Chunked pass, bit-identical to :func:`_simulate_monolithic`.
-
-    All randomness is drawn up front in exactly the legacy call order
-    (arrivals, class draws, then per stage/group: participation draws
-    and the kernel's pre-draw); the chunk loop only *slices* those
-    buffers, and the Lindley carry replays the monolithic float
-    operations exactly, so every output array matches bit for bit.
-    """
-    arrivals = poisson_arrivals(arrival_rate, duration_s, rng)
-    n = arrivals.size
-    class_of, scale = _class_draws(classes, rng, n)
-    # Phase 1: pre-draw per-(stage, group) randomness in legacy order.
-    plans: List[Tuple[Optional[np.ndarray], object]] = []
-    gi = 0
-    for stage in topology.stages:
-        for group in stage.groups:
-            take: Optional[np.ndarray] = None
-            if classes is not None:
-                p_req = classes.group_participation[class_of, gi]
-                gi += 1
-                if not np.all(p_req >= 1.0):
-                    take = rng.random(n) < p_req
-            elif group.optional:
-                take = rng.random(n) < group.participation
-            m = n if take is None else int(np.count_nonzero(take))
-            plans.append(
-                (take, kernel.predraw_group(m, group, service_dists, rng))
-            )
-    # Phase 2: slice per chunk, carrying queue state per component.
-    sojourns: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    services: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    carries: Dict[str, LindleyCarry] = {}
-    overall_parts: List[np.ndarray] = []
-    predecessors = topology.predecessor_indices
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        t_chunk = arrivals[a:b]
-        scale_chunk = None if scale is None else scale[a:b]
-        completions: List[np.ndarray] = []
-        pi = 0
-        for si, stage in enumerate(topology.stages):
-            stage_lat = np.zeros(b - a)
-            for group in stage.groups:
-                take, draws = plans[pi]
-                pi += 1
-                if take is None:
-                    group_lat = kernel.route_chunk(
-                        t_chunk, group, draws, scale_chunk,
-                        sojourns, services, carries,
-                    )
-                    np.maximum(stage_lat, group_lat, out=stage_lat)
-                else:
-                    tk = take[a:b]
-                    sub_lat = kernel.route_chunk(
-                        t_chunk[tk], group, draws,
-                        None if scale_chunk is None else scale_chunk[tk],
-                        sojourns, services, carries,
-                    )
-                    stage_lat[tk] = np.maximum(stage_lat[tk], sub_lat)
-            completions.append(
-                _stage_completions(predecessors[si], completions, stage_lat)
-            )
-        overall_parts.append(_compose_overall(topology, completions))
-    return IntervalOutcome(
-        request_latencies=(
-            np.concatenate(overall_parts) if overall_parts else np.empty(0)
-        ),
-        component_sojourns={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in sojourns.items()
-        },
-        component_service_samples={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in services.items()
-        },
-        duration_s=float(duration_s),
-        arrival_rate=float(arrival_rate),
-        class_of=class_of,
-        class_names=None if classes is None else classes.names,
-    )
-
-
-def _simulate_chunked_streaming(
-    topology: ServiceTopology,
-    kernel,
-    arrival_rate: float,
-    duration_s: float,
-    service_dists: Mapping[str, Distribution],
-    rng: np.random.Generator,
-    classes: Optional[ResolvedClassMix],
-    chunk: int,
-    stream: IntervalAccumulatorSet,
-) -> IntervalOutcome:
-    """True single-pass streaming: O(chunk) peak memory.
-
-    Arrivals are generated one time window at a time (window length ≈
-    ``chunk / rate``): a Poisson count for the window plus sorted
-    uniforms within it is an exact Poisson process, so no O(requests)
-    arrivals array ever exists.  Per-chunk draws necessarily follow a
-    different (fully seeded, deterministic given chunk size) stream
-    than the monolithic pass — the exact-vs-streamed contract is
-    distributional, enforced by the estimator property tests, not
-    bit-identity.
-    """
     if arrival_rate < 0 or duration_s <= 0:
         raise SimulationError(
             f"need rate >= 0 and duration > 0, got {arrival_rate}, {duration_s}"
         )
+    kernel = routing_kernel_for(policy)
+    if threshold_feed is not None:
+        kernel = kernel.bind_threshold_feed(threshold_feed)
+    window = duration_s
+    if (
+        stream_into is not None
+        and chunk_requests is not None
+        and kernel.supports_chunking
+        and arrival_rate > 0
+    ):
+        window = min(chunk_requests / arrival_rate, duration_s)
+    n_windows = int(np.ceil(duration_s / window))
+    # One window is the whole-interval draw order and needs no queue
+    # carry, so it keeps the cheaper plain Lindley scan.
+    carries: Optional[Dict[str, LindleyCarry]] = {} if n_windows > 1 else None
     names = None if classes is None else classes.names
-    window = (
-        duration_s if arrival_rate <= 0 else min(chunk / arrival_rate, duration_s)
-    )
-    n_windows = max(1, int(np.ceil(duration_s / window)))
-    carries: Dict[str, LindleyCarry] = {}
-    predecessors = topology.predecessor_indices
+    duplicates = 0
     for wi in range(n_windows):
         w_start = wi * window
         w_end = min(duration_s, (wi + 1) * window)
         if w_end <= w_start:
             break
-        cnt = int(rng.poisson(arrival_rate * (w_end - w_start)))
-        t_chunk = np.sort(rng.uniform(0.0, w_end - w_start, cnt)) + w_start
-        class_chunk, scale_chunk = _class_draws(classes, rng, cnt)
-        if class_chunk is not None:
-            # Index narrowing: class rows fit comfortably in int16 and
-            # this is a per-request array we hold per chunk.
-            class_chunk = class_chunk.astype(np.int16)
-        chunk_soj: Dict[str, List[np.ndarray]] = {
-            c.name: [] for c in topology.components
-        }
-        chunk_svc: Dict[str, List[np.ndarray]] = {
-            c.name: [] for c in topology.components
-        }
-        completions: List[np.ndarray] = []
-        gi = 0
-        for si, stage in enumerate(topology.stages):
-            stage_lat = np.zeros(cnt)
-            for group in stage.groups:
-                take: Optional[np.ndarray] = None
-                sub_scale = scale_chunk
-                if classes is not None:
-                    p_req = classes.group_participation[class_chunk, gi]
-                    gi += 1
-                    if not np.all(p_req >= 1.0):
-                        take = rng.random(cnt) < p_req
-                elif group.optional:
-                    take = rng.random(cnt) < group.participation
-                if take is None:
-                    group_lat = kernel.route_group(
-                        t_chunk, group, service_dists, rng,
-                        chunk_soj, chunk_svc, sub_scale, carries=carries,
-                    )
-                    np.maximum(stage_lat, group_lat, out=stage_lat)
-                else:
-                    sub_lat = kernel.route_group(
-                        t_chunk[take], group, service_dists, rng,
-                        chunk_soj, chunk_svc,
-                        None if sub_scale is None else sub_scale[take],
-                        carries=carries,
-                    )
-                    stage_lat[take] = np.maximum(stage_lat[take], sub_lat)
-            completions.append(
-                _stage_completions(predecessors[si], completions, stage_lat)
+        arrivals = poisson_arrivals(arrival_rate, w_end - w_start, rng)
+        if w_start:
+            arrivals += w_start
+        class_of, scale = _class_draws(classes, rng, arrivals.size)
+        overall, sojourns, services, window_dups = _traverse(
+            topology, kernel, arrivals, class_of, scale, classes,
+            service_dists, rng, carries,
+        )
+        duplicates += window_dups
+        if stream_into is None:  # exact mode: its one window is the interval
+            return IntervalOutcome(
+                request_latencies=overall,
+                component_sojourns=_concatenated(sojourns),
+                component_service_samples=_concatenated(services),
+                duration_s=float(duration_s),
+                arrival_rate=float(arrival_rate),
+                class_of=class_of,
+                class_names=names,
+                duplicates=duplicates,
             )
-        overall = _compose_overall(topology, completions)
-        stream.add_chunk(overall, chunk_soj, class_chunk, names)
+        stream_into.add_chunk(overall, sojourns, class_of, names)
     return IntervalOutcome(
         request_latencies=np.empty(0),
         component_sojourns={c.name: np.empty(0) for c in topology.components},
@@ -597,7 +397,7 @@ def _simulate_chunked_streaming(
         },
         duration_s=float(duration_s),
         arrival_rate=float(arrival_rate),
-        class_of=None,
         class_names=names,
-        streaming=stream,
+        streaming=stream_into,
+        duplicates=duplicates,
     )

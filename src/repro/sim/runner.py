@@ -117,12 +117,10 @@ class RunnerConfig:
     #: drops that class from the run.  Stored canonically as a tuple of
     #: ``(str, float)`` pairs so sweep manifests hash it stably.
     class_mix: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Process each interval's requests in chunks of this size,
-    #: threading queue backlog across chunk boundaries
-    #: (:mod:`repro.sim.queue_sim`).  ``None`` — the default — is the
-    #: exact legacy single pass; with a value and the default exact
-    #: summaries the results are still **bit-identical** (identity-
-    #: tested), chunking only bounds the working set.
+    #: Streamed runs simulate each interval in windows of about this
+    #: many requests, carrying queue backlog across them; exact
+    #: summaries ignore it.  The contract is stated once, in
+    #: :mod:`repro.sim.queue_sim`'s module docstring.
     chunk_requests: Optional[int] = None
     #: How latency samples are reduced to summaries: ``"exact"`` stores
     #: every sample (nearest-rank percentiles, the golden-pinned path),
@@ -230,6 +228,30 @@ class RunnerConfig:
             object.__setattr__(self, "class_mix", canon)
 
 
+#: :class:`PolicyResult`'s optional provenance fields, in
+#: serialisation order: field -> (inert value, encode, decode).
+#: ``to_dict`` writes a field only when it differs from its inert
+#: value, so a result that never set one serialises (and digests)
+#: byte-identically to one from before the field existed;
+#: ``from_dict`` restores the inert value for an absent key.
+_PROVENANCE_CODEC = {
+    "per_class": (
+        None,
+        lambda v: {name: s.to_dict() for name, s in v.items()},
+        lambda v: {
+            str(name): LatencySummary.from_dict(s) for name, s in v.items()
+        },
+    ),
+    "summary_mode": (None, lambda v: v, str),
+    "chunk_fallback": (False, lambda v: True, bool),
+    "per_interval_duplicate_load": (
+        None,
+        list,
+        lambda v: [float(x) for x in v],
+    ),
+}
+
+
 @dataclass
 class PolicyResult:
     """Aggregated outcome of one (policy, arrival rate) run."""
@@ -258,8 +280,8 @@ class PolicyResult:
     summary_mode: Optional[str] = None
     #: Chunking provenance: ``True`` when ``chunk_requests`` was set
     #: but this policy's routing kernel cannot chunk (redundancy /
-    #: reissue / hedging carry cross-request duplicate state), so the
-    #: run silently took the monolithic pass.  Serialised only when
+    #: reissue / hedging carry cross-request duplicate state), so
+    #: every interval ran as one window.  Serialised only when
     #: set — same digest-stability pattern as :attr:`summary_mode` —
     #: and surfaced by :meth:`render` so the fallback is visible in
     #: sweep/quick output instead of saying nothing.
@@ -335,28 +357,10 @@ class PolicyResult:
             "scheduling_time_s": self.scheduling_time_s,
             "wall_time_s": self.wall_time_s,
         }
-        if self.per_class is not None:
-            # Only serialised for mixed-class runs, so single-class
-            # cache entries (and their digests) are unchanged.
-            d["per_class"] = {
-                name: summary.to_dict()
-                for name, summary in self.per_class.items()
-            }
-        if self.summary_mode is not None:
-            # Only serialised for streamed runs — same pattern as
-            # per_class, for the same digest-stability reason.
-            d["summary_mode"] = self.summary_mode
-        if self.chunk_fallback:
-            # Only serialised when the fallback actually engaged, so
-            # every pre-existing cache entry and golden pin is
-            # byte-identical to before this field existed.
-            d["chunk_fallback"] = True
-        if self.per_interval_duplicate_load is not None:
-            # Only serialised when induced-load recording was on —
-            # same digest-stability reason as the fields above.
-            d["per_interval_duplicate_load"] = list(
-                self.per_interval_duplicate_load
-            )
+        for name, (inert, encode, _) in _PROVENANCE_CODEC.items():
+            value = getattr(self, name)
+            if value != inert:
+                d[name] = encode(value)
         return d
 
     @classmethod
@@ -377,25 +381,10 @@ class PolicyResult:
             n_migrations=int(d["n_migrations"]),
             scheduling_time_s=float(d["scheduling_time_s"]),
             wall_time_s=float(d["wall_time_s"]),
-            per_class=(
-                None
-                if d.get("per_class") is None
-                else {
-                    str(name): LatencySummary.from_dict(summary)
-                    for name, summary in d["per_class"].items()
-                }
-            ),
-            summary_mode=(
-                None
-                if d.get("summary_mode") is None
-                else str(d["summary_mode"])
-            ),
-            chunk_fallback=bool(d.get("chunk_fallback", False)),
-            per_interval_duplicate_load=(
-                None
-                if d.get("per_interval_duplicate_load") is None
-                else [float(x) for x in d["per_interval_duplicate_load"]]
-            ),
+            **{
+                name: inert if d.get(name) is None else decode(d[name])
+                for name, (inert, _, decode) in _PROVENANCE_CODEC.items()
+            },
         )
 
 
@@ -431,7 +420,7 @@ class RunState:
     #: expected per-interval request count).
     summary_mode: str = "exact"
     #: ``chunk_requests`` was requested but this policy's routing
-    #: kernel cannot chunk, so intervals run the monolithic pass
+    #: kernel cannot chunk, so every interval runs as one window
     #: (recorded on the result as provenance).
     chunk_fallback: bool = False
     #: Exact mode: every sample flows through these store-everything
@@ -621,7 +610,7 @@ class ExperimentRunner:
             rate_multipliers=multipliers,
             summary_mode=summary_mode,
             # Chunking was asked for but this policy's kernel cannot
-            # honour it (queue_sim takes the monolithic pass); record
+            # honour it (queue_sim runs one window); record
             # the fallback so results say so instead of nothing.
             chunk_fallback=(
                 cfg.chunk_requests is not None

@@ -23,6 +23,7 @@ from repro.errors import (
 )
 from repro.service.nutch import NutchConfig
 from repro.sim.backends import SerialBackend, ThreadBackend
+from repro.sim.metrics import LatencySummary
 from repro.sim.runner import ExperimentRunner, PolicyResult, RunnerConfig
 from repro.sim.sweep import (
     ParallelSweepRunner,
@@ -219,7 +220,51 @@ class TestSerialSweep:
         assert a.component_p99_s != b.component_p99_s
 
 
+_SUMMARY = LatencySummary(
+    n=4, mean=0.012, p50=0.01, p95=0.02, p99=0.025, max=0.03
+)
+
+#: Each optional provenance field of PolicyResult at a non-inert value,
+#: in to_dict() order.
+_PROVENANCE = {
+    "per_class": {"search": _SUMMARY},
+    "summary_mode": "streaming",
+    "chunk_fallback": True,
+    "per_interval_duplicate_load": [0.25, 0.5],
+}
+
+
+def _bare_result(**provenance) -> PolicyResult:
+    return PolicyResult(
+        policy_name="Basic",
+        arrival_rate=40.0,
+        component_latency=_SUMMARY,
+        overall_latency=_SUMMARY,
+        per_interval_component_p99=[0.025],
+        per_interval_overall_mean=[0.012],
+        n_requests=4,
+        n_migrations=0,
+        scheduling_time_s=0.0,
+        wall_time_s=0.5,
+        **provenance,
+    )
+
+
 class TestPolicyResultRoundtrip:
+    @pytest.mark.parametrize("is_set", [True, False], ids=["set", "unset"])
+    @pytest.mark.parametrize("field", list(_PROVENANCE))
+    def test_provenance_field_round_trips(self, field, is_set):
+        # Serialised only when set; decoded back to the inert value
+        # when absent.
+        result = _bare_result(**({field: _PROVENANCE[field]} if is_set else {}))
+        d = json.loads(json.dumps(result.to_dict()))
+        assert (field in d) is is_set
+        assert PolicyResult.from_dict(d) == result
+
+    def test_provenance_keys_follow_the_core_fields_in_order(self):
+        d = _bare_result(**_PROVENANCE).to_dict()
+        assert list(d)[-len(_PROVENANCE):] == list(_PROVENANCE)
+
     def test_json_roundtrip_is_exact(self):
         spec = _tiny_spec()
         point = spec.points()[0]

@@ -401,18 +401,47 @@ class TestCrossBackendIdentity:
             == serial.summary().to_dict()
         )
 
+    @pytest.fixture(scope="class")
+    def streamed_grid(self, grid):
+        return _tiny_spec(
+            base=_tiny_base(summary_mode="streaming", chunk_requests=64),
+            policies=grid.policies,
+            arrival_rates=grid.arrival_rates,
+            seeds=grid.seeds,
+        )
+
+    @pytest.fixture(scope="class")
+    def streamed_serial(self, streamed_grid):
+        return ParallelSweepRunner(
+            streamed_grid, workers=1, backend="serial"
+        ).run()
+
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("process", 2)],
-        ids=["serial", "process-2"],
+        "backend,workers", [("thread", 2), ("process", 2)],
+        ids=["thread-2", "process-2"],
     )
     def test_request_chunking_axis_bit_identical(
-        self, grid, serial, backend, workers
+        self, streamed_grid, streamed_serial, backend, workers
     ):
-        # The streaming-scale axis: chunked interval execution
-        # (RunnerConfig.chunk_requests) must reproduce the unchunked
-        # grid byte for byte, whatever backend runs the points.  The
-        # grid's RED policy also covers the chunk-incapable-kernel
-        # fallback inside a sweep.
+        # The streaming-scale axis: streamed summaries over windowed
+        # interval execution (RunnerConfig.chunk_requests) must agree
+        # byte for byte whatever backend runs the points.  Basic runs
+        # several windows per interval with the queue carry; the grid's
+        # RED policy cannot chunk and folds one window per interval.
+        run = ParallelSweepRunner(
+            streamed_grid, workers=workers, backend=backend
+        ).run()
+        for point in streamed_grid.points():
+            expected = streamed_serial.results[point].metrics_dict()
+            assert expected["summary_mode"] == "streaming"
+            assert (
+                run.results[point].metrics_dict() == expected
+            ), point.describe()
+
+    def test_exact_mode_ignores_request_chunking(self, grid, serial):
+        # Exact summaries run every interval as one window, so
+        # chunk_requests never changes an exact result; the RED points
+        # only add the chunk_fallback provenance flag.
         chunked_grid = _tiny_spec(
             base=_tiny_base(chunk_requests=64),
             policies=grid.policies,
@@ -420,14 +449,12 @@ class TestCrossBackendIdentity:
             seeds=grid.seeds,
         )
         chunked_run = ParallelSweepRunner(
-            chunked_grid, workers=workers, backend=backend
+            chunked_grid, workers=1, backend="serial"
         ).run()
         for point, chunked_point in zip(
             grid.points(), chunked_grid.points()
         ):
             chunked_metrics = chunked_run.results[chunked_point].metrics_dict()
-            # The RED points engage the monolithic fallback and say so;
-            # everything measured stays byte-identical either way.
             if chunked_metrics.pop("chunk_fallback", False):
                 assert point.policy.name.startswith("RED")
             assert (
