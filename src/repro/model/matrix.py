@@ -52,6 +52,10 @@ from repro.service.component import ComponentClass
 
 __all__ = ["MatrixInputs", "PerformanceMatrix"]
 
+#: Cap on one kernel chunk's rows × (target components + targets): the
+#: build's contention batch stays this size whatever m is.
+BLOCK_PAIRS = 1 << 15
+
 
 @dataclass
 class MatrixInputs:
@@ -300,32 +304,31 @@ class PerformanceMatrix:
     def __init__(self, inputs: MatrixInputs, predictor: LatencyPredictor) -> None:
         self.inputs = inputs
         self.predictor = predictor
+        m = inputs.m
         group_of = (
             inputs.group_of
             if inputs.group_of is not None
-            else np.arange(inputs.m, dtype=np.int64)
+            else np.arange(m, dtype=np.int64)
         )
         self._group_offsets = stage_offsets(group_of)
-        self._group_sizes = np.diff(
-            np.append(self._group_offsets, inputs.m)
-        ).astype(np.float64)
+        group_counts = np.diff(np.append(self._group_offsets, m))
+        self._group_sizes = group_counts.astype(np.float64)
         self._stage_offsets_groups = stage_offsets(
             inputs.stage_of[self._group_offsets]
         )
-        # Group ordinal (0..G-1) of every component, for incremental
-        # group-mean updates in entry().
-        self._group_ordinal = (
-            np.searchsorted(self._group_offsets, np.arange(inputs.m), side="right")
-            - 1
+        n_groups = self._group_offsets.size
+        # Group ordinal (0..G-1) of every component, stage ordinal
+        # (0..S-1) of every group.
+        self._group_ordinal = np.repeat(np.arange(n_groups), group_counts)
+        self._group_stage = np.repeat(
+            np.arange(self._stage_offsets_groups.size),
+            np.diff(np.append(self._stage_offsets_groups, n_groups)),
         )
-        # With one component per group (the paper's exact Eq. 3) the
-        # group-mean reduction is the identity — skip it on hot paths.
-        self._trivial_groups = bool(np.all(self._group_sizes == 1.0))
         # DAG topologies compose stage maxima along the critical path;
         # None keeps the exact chain sum (bit-identical to pre-DAG).
         # Predecessors were validated by MatrixInputs; exits are
-        # precomputed here because _compose sits on the greedy loop's
-        # innermost path and must not re-derive them per call.
+        # precomputed here because _compose runs once per kernel chunk
+        # and must not re-derive them per call.
         self._dag_preds = inputs.stage_predecessors
         if self._dag_preds is not None:
             self._dag_exits = exits_from_predecessors(self._dag_preds)
@@ -344,13 +347,13 @@ class PerformanceMatrix:
                 self._mix_participation
                 * inputs.class_service_scales[:, None]
             )
-        # Class-batched index lists, computed once.
-        self._class_rows: Dict[ComponentClass, np.ndarray] = {}
-        for cls in set(inputs.classes):
-            rows = np.array(
-                [i for i, c in enumerate(inputs.classes) if c is cls], dtype=np.int64
-            )
-            self._class_rows[cls] = rows
+        # Component classes, in order of first appearance.
+        self._classes: List[ComponentClass] = list(dict.fromkeys(inputs.classes))
+        index = {cls: c for c, cls in enumerate(self._classes)}
+        self._class_id = np.array(
+            [index[cls] for cls in inputs.classes], dtype=np.int64
+        )
+        self._scv = np.array([predictor.scv(cls) for cls in self._classes])
         self.L: Optional[np.ndarray] = None
         self.R: Optional[np.ndarray] = None
         self._refresh_base()
@@ -364,18 +367,30 @@ class PerformanceMatrix:
         u = inp.node_totals[inp.assignment] - inp.demands
         return np.maximum(u, 0.0)
 
-    def _latencies_full(self, contention: np.ndarray) -> np.ndarray:
-        """Latency of every component under an ``(m, 4)`` contention array."""
-        inp = self.inputs
-        out = np.empty(inp.m, dtype=np.float64)
-        for cls, rows in self._class_rows.items():
-            means = self.predictor.predict_mean_service(cls, contention[rows])
-            out[rows] = _mg1(
-                means,
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows],
-                self.predictor.rho_max,
-            )
+    def _latencies(self, comps: np.ndarray, contention: np.ndarray) -> np.ndarray:
+        """Eq. 2 latency of each component of ``comps`` under the matching
+        row of ``contention``; ``comps`` broadcasts against
+        ``contention.shape[:-1]``, the shape of the result.
+
+        The one pair-latency evaluation behind the base state, the
+        kernel and :meth:`entry`: one predictor call per class present.
+        """
+        pred = self.predictor
+        shape = contention.shape[:-1]
+        lam = self.inputs.arrival_rates[comps]
+        if len(self._classes) == 1:
+            means = pred.predict_mean_service(
+                self._classes[0], contention.reshape(-1, 4)
+            ).reshape(shape)
+            return _mg1(means, self._scv[0], lam, pred.rho_max)
+        out = np.empty(shape, dtype=np.float64)
+        ids = np.broadcast_to(self._class_id[comps], shape)
+        lam = np.broadcast_to(lam, shape)
+        for c, cls in enumerate(self._classes):
+            sel = ids == c
+            if sel.any():
+                means = pred.predict_mean_service(cls, contention[sel])
+                out[sel] = _mg1(means, self._scv[c], lam[sel], pred.rho_max)
         return out
 
     def _compose(self, stage_max: np.ndarray) -> np.ndarray:
@@ -385,7 +400,7 @@ class PerformanceMatrix:
 
         Inlines :func:`~repro.model.service_latency.dag_overall_latency`
         against the pre-validated predecessors and precomputed exit set
-        — this runs per candidate evaluation inside the greedy loop, so
+        — this runs for every kernel chunk and every :meth:`entry`, so
         the public function's per-call validation would be pure waste.
 
         With a request-class mix
@@ -423,23 +438,16 @@ class PerformanceMatrix:
             overall = np.maximum(overall, completion[..., si])
         return overall
 
-    def _overall(self, latencies: np.ndarray) -> float:
-        """Grouped Eqs. 3–4 (exactly the paper's form when each
-        component is its own group)."""
-        means = (
-            np.add.reduceat(latencies, self._group_offsets) / self._group_sizes
-        )
-        return float(
-            self._compose(np.maximum.reduceat(means, self._stage_offsets_groups))
-        )
-
     def _refresh_base(self) -> None:
+        """Base latencies and objective, then the per-allocation tables
+        the kernel reads: cells, links, the untouched-group table and
+        the arrival means."""
+        inp = self.inputs
+        m, k = inp.m, inp.k
         self._u_now = self._contention_now()
-        self.base_latencies = self._latencies_full(self._u_now)
-        self._base_group_means = (
-            np.add.reduceat(self.base_latencies, self._group_offsets)
-            / self._group_sizes
-        )
+        self.base_latencies = self._latencies(np.arange(m), self._u_now)
+        group_sums = np.add.reduceat(self.base_latencies, self._group_offsets)
+        self._base_group_means = group_sums / self._group_sizes
         self.base_overall = float(
             self._compose(
                 np.maximum.reduceat(
@@ -447,6 +455,82 @@ class PerformanceMatrix:
                 )
             )
         )
+        # Components by node; a cell is one group's components on one
+        # node, so cells are node-major and numbered in by_node order.
+        self._by_node = np.argsort(inp.assignment, kind="stable")
+        nodes = inp.assignment[self._by_node]
+        groups = self._group_ordinal[self._by_node]
+        self._node_count = np.bincount(nodes, minlength=k)
+        self._node_start = _starts(self._node_count)
+        first = np.flatnonzero(
+            np.r_[True, (nodes[1:] != nodes[:-1]) | (groups[1:] != groups[:-1])]
+        )
+        self._cell_node = nodes[first]
+        self._cell_group = groups[first]
+        self._cell_size = np.diff(np.append(first, m))
+        self._node_cells = np.bincount(self._cell_node, minlength=k)
+        self._node_cell_start = _starts(self._node_cells)
+        # Base sum of each cell, and of the rest of its group.
+        self._cell_sum = np.add.reduceat(self.base_latencies[self._by_node], first)
+        self._cell_rest = group_sums[self._cell_group] - self._cell_sum
+        # Links: for every cell, its group's cells on other nodes.
+        by_group = np.argsort(self._cell_group, kind="stable")
+        group_cells = np.bincount(self._cell_group, minlength=self._group_sizes.size)
+        owned = group_cells[self._cell_group]
+        owner = np.repeat(np.arange(first.size), owned)
+        peer = by_group[
+            _ranges(_starts(group_cells)[self._cell_group], owned)
+        ]
+        self._link_cell = peer[peer != owner]
+        self._link_count = owned - 1
+        self._link_start = _starts(self._link_count)
+        self._untouched = self._untouched_table()
+        # Mean service time of a new arrival on every node (Table III
+        # row 1), per class.
+        self._arrival_means = np.stack(
+            [
+                self.predictor.predict_mean_service(cls, inp.node_totals)
+                for cls in self._classes
+            ]
+        )
+
+    def _untouched_table(self) -> np.ndarray:
+        """``(k, k, S)``: per stage, the best base group mean among the
+        groups with no component on either node (``-inf`` if none).
+
+        Each stage's best group settles every pair it does not touch;
+        the pairs left walk down the stage's ranking until a group
+        touches neither node — a few ranks in practice, since one group
+        touches only its members' nodes.
+        """
+        k = self.inputs.k
+        means = self._base_group_means
+        offsets = self._stage_offsets_groups
+        counts = np.diff(np.append(offsets, means.size))
+        touch = np.zeros((means.size, k), dtype=bool)
+        touch[self._cell_group, self._cell_node] = True
+        ranked = np.lexsort((-means, self._group_stage))
+        best = ranked[offsets]
+        free = ~touch[best].T
+        table = np.where(
+            free[:, None, :] & free[None, :, :], means[best], -np.inf
+        )
+        # The pairs each stage's best group touches: its nodes' rows
+        # and columns (a pair on two such nodes comes twice; harmless).
+        s, node = np.nonzero(~free.T)
+        s = np.tile(np.repeat(s, k), 2)
+        o = np.concatenate([np.repeat(node, k), np.tile(np.arange(k), node.size)])
+        t = np.concatenate([np.tile(np.arange(k), node.size), np.repeat(node, k)])
+        for rank in range(1, int(counts.max())):
+            live = counts[s] > rank
+            s, o, t = s[live], o[live], t[live]
+            if s.size == 0:
+                break
+            g = ranked[offsets[s] + rank]
+            hit = ~(touch[g, o] | touch[g, t])
+            table[o[hit], t[hit], s[hit]] = means[g[hit]]
+            s, o, t = s[~hit], o[~hit], t[~hit]
+        return table
 
     @property
     def current_latencies(self) -> np.ndarray:
@@ -459,7 +543,7 @@ class PerformanceMatrix:
         return self.base_overall
 
     # ------------------------------------------------------------------
-    # single entry (specification; also used by Algorithm 2 updates)
+    # single entry (the specification the kernel is tested against)
     # ------------------------------------------------------------------
     def entry(self, i: int, j: int) -> tuple[float, float]:
         """Exact ``(L[i][j], R[i][j])`` for one candidate migration.
@@ -467,8 +551,7 @@ class PerformanceMatrix:
         Incremental: only components on the origin and target nodes
         change latency (Table III), so only their groups' means — and
         only the stage maxima over the cached group-mean vector — are
-        recomputed.  Matches the full recomputation bit-for-bit (see
-        the reference build, which calls this for every cell).
+        recomputed.  The reference build calls this for every cell.
         """
         inp = self.inputs
         if not (0 <= i < inp.m and 0 <= j < inp.k):
@@ -486,7 +569,7 @@ class PerformanceMatrix:
         u_aff[~on_origin] = u_aff[~on_origin] + d_i
         self_pos = int(np.searchsorted(affected, i))
         u_aff[self_pos] = inp.node_totals[j]  # Table III row 1: U' = U_nj
-        l_aff = self._latencies_subset(affected, u_aff)
+        l_aff = self._latencies(affected, u_aff)
         # Incremental group means: subtract old contributions, add new.
         means = self._base_group_means.copy()
         groups = self._group_ordinal[affected]
@@ -500,118 +583,137 @@ class PerformanceMatrix:
             float(self.base_latencies[i] - l_aff[self_pos]),
         )
 
-    def _latencies_subset(
-        self, rows: np.ndarray, contention: np.ndarray
-    ) -> np.ndarray:
-        """Latencies of selected components under given contention rows."""
+    # ------------------------------------------------------------------
+    # the kernel
+    # ------------------------------------------------------------------
+    def _block(
+        self, rows: np.ndarray, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(L, R)`` of migrating each of ``rows`` to each of ``targets``.
+
+        Table III changes latencies only on the origin and the target
+        node, so only groups touching one of them get a new mean:
+
+        - origin groups: members on the origin under ``U − U_ci`` (one
+          latency per row and member), the migrating component at the
+          target's arrival mean;
+        - target groups: members on the target under ``U + U_ci`` (one
+          latency per row and component on any target);
+        - the rest of a group keeps its base sum, so a group spread over
+          both nodes takes both deltas and counts on the origin side.
+
+        Each stage's maximum is the larger of those new means and the
+        untouched-group table.  A group wholly on one node sums its
+        members in index order, as a full recomputation does, so such
+        entries equal it bit for bit.
+        """
         inp = self.inputs
-        out = np.empty(rows.size, dtype=np.float64)
-        if len(self._class_rows) == 1:
-            cls = next(iter(self._class_rows))
-            means = self.predictor.predict_mean_service(cls, contention)
-            return _mg1(
-                means,
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows],
-                self.predictor.rho_max,
-            )
-        classes = inp.classes
-        for cls, _ in self._class_rows.items():
-            sel = np.array(
-                [p for p, r in enumerate(rows) if classes[int(r)] is cls],
-                dtype=np.int64,
-            )
-            if sel.size == 0:
-                continue
-            means = self.predictor.predict_mean_service(cls, contention[sel])
-            out[sel] = _mg1(
-                means,
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows[sel]],
-                self.predictor.rho_max,
-            )
-        return out
+        n_rows, n_targets = rows.size, targets.size
+        origin = inp.assignment[rows]
+        demand = inp.demands[rows]
+        cls = self._class_id[rows]
+        l_self = _mg1(
+            self._arrival_means[cls][:, targets],
+            self._scv[cls][:, None],
+            inp.arrival_rates[rows][:, None],
+            self.predictor.rho_max,
+        )
+
+        # Origin side, one entry per (row, cell on the row's node).
+        o_count = self._node_count[origin]
+        o_comp = self._by_node[_ranges(self._node_start[origin], o_count)]
+        o_row = np.repeat(np.arange(n_rows), o_count)
+        l_minus = self._latencies(
+            o_comp, np.maximum(self._u_now[o_comp] - demand[o_row], 0.0)
+        )
+        o_vals = np.repeat(l_minus[:, None], n_targets, axis=1)
+        o_vals[o_comp == rows[o_row]] = l_self
+        o_cells = _ranges(self._node_cell_start[origin], self._node_cells[origin])
+        o_cell_row = np.repeat(np.arange(n_rows), self._node_cells[origin])
+        o_num = np.add.reduceat(o_vals, _starts(self._cell_size[o_cells]), axis=0)
+        o_num += self._cell_rest[o_cells][:, None]
+
+        # Target side, one entry per (cell on a target, row).
+        t_comp = self._by_node[
+            _ranges(self._node_start[targets], self._node_count[targets])
+        ]
+        t_cells = _ranges(self._node_cell_start[targets], self._node_cells[targets])
+        l_plus = self._latencies(
+            t_comp[:, None], self._u_now[t_comp][:, None, :] + demand
+        )
+        t_sum = np.add.reduceat(l_plus, _starts(self._cell_size[t_cells]), axis=0)
+        t_num = t_sum + self._cell_rest[t_cells][:, None]
+
+        # A group on both nodes: its target cell's delta joins the
+        # origin entry, and the target entry drops out.
+        n_links = self._link_count[o_cells]
+        x_entry = np.repeat(np.arange(o_cells.size), n_links)
+        x_cell = self._link_cell[_ranges(self._link_start[o_cells], n_links)]
+        target_pos = np.full(inp.k, -1, dtype=np.int64)
+        target_pos[targets] = np.arange(n_targets)
+        x_target = target_pos[self._cell_node[x_cell]]
+        keep = x_target >= 0
+        x_entry, x_cell, x_target = x_entry[keep], x_cell[keep], x_target[keep]
+        cell_pos = np.full(self._cell_size.size, -1, dtype=np.int64)
+        cell_pos[t_cells] = np.arange(t_cells.size)
+        x_pos, x_row = cell_pos[x_cell], o_cell_row[x_entry]
+        o_num[x_entry, x_target] += t_sum[x_pos, x_row] - self._cell_sum[x_cell]
+        t_num[x_pos, x_row] = -np.inf
+
+        # Stage maxima: untouched groups, then target and origin means.
+        stage_max = self._untouched[origin[:, None], targets[None, :]]
+        t_group = self._cell_group[t_cells]
+        t_mean = t_num / self._group_sizes[t_group][:, None]
+        seg_t, seg_s, seg = _segments(
+            np.repeat(np.arange(n_targets), self._node_cells[targets]),
+            self._group_stage[t_group],
+        )
+        stage_max[:, seg_t, seg_s] = np.maximum(
+            stage_max[:, seg_t, seg_s], np.maximum.reduceat(t_mean, seg, axis=0).T
+        )
+        o_group = self._cell_group[o_cells]
+        o_mean = o_num / self._group_sizes[o_group][:, None]
+        seg_r, seg_s, seg = _segments(o_cell_row, self._group_stage[o_group])
+        stage_max[seg_r, :, seg_s] = np.maximum(
+            stage_max[seg_r, :, seg_s], np.maximum.reduceat(o_mean, seg, axis=0)
+        )
+
+        L = self.base_overall - self._compose(stage_max)
+        R = self.base_latencies[rows][:, None] - l_self
+        stay = origin[:, None] == targets[None, :]
+        L[stay] = 0.0
+        R[stay] = 0.0
+        return L, R
+
+    def _fill(self, rows, targets) -> None:
+        """Write the kernel's ``rows`` × ``targets`` entries into ``L``
+        and ``R``, at most :data:`BLOCK_PAIRS` pairs per chunk."""
+        rows = np.asarray(rows, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        per_row = int(self._node_count[targets].sum()) + targets.size
+        step = max(1, BLOCK_PAIRS // per_row)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo : lo + step]
+            cells = np.ix_(chunk, targets)
+            self.L[cells], self.R[cells] = self._block(chunk, targets)
 
     # ------------------------------------------------------------------
     # full builds
     # ------------------------------------------------------------------
     def build(self, method: str = "fast") -> "PerformanceMatrix":
         """Compute the full ``L`` and ``R``; returns self."""
-        if method == "reference":
-            self._build_reference()
-        elif method == "fast":
-            self._build_fast()
-        else:
+        if method not in ("fast", "reference"):
             raise ModelError(f"unknown build method {method!r}")
-        return self
-
-    def _build_reference(self) -> None:
         inp = self.inputs
-        L = np.zeros((inp.m, inp.k))
-        R = np.zeros((inp.m, inp.k))
-        for i in range(inp.m):
-            for j in range(inp.k):
-                L[i, j], R[i, j] = self.entry(i, j)
-        self.L, self.R = L, R
-
-    def _arrival_means(self) -> dict:
-        """Mean service time of each class for a *new arrival* on every
-        node (Table III row 1) — one batched prediction per class."""
-        return {
-            cls: self.predictor.predict_mean_service(cls, self.inputs.node_totals)
-            for cls in self._class_rows
-        }
-
-    def _row(self, i: int, arrival_means: dict) -> tuple:
-        """Vectorised ``(L[i, :], R[i, :])`` for one migrating component."""
-        inp = self.inputs
-        m, k = inp.m, inp.k
-        origin = int(inp.assignment[i])
-        d_i = inp.demands[i]
-        # Latency of every component if it loses / gains c_i's demand.
-        l_minus = self._latencies_full(np.maximum(self._u_now - d_i, 0.0))
-        l_plus = self._latencies_full(self._u_now + d_i)
-        # c_i's own latency on each target node.
-        cls_i = inp.classes[i]
-        l_self = _mg1(
-            arrival_means[cls_i],
-            self.predictor.scv(cls_i),
-            inp.arrival_rates[i],
-            self.predictor.rho_max,
-        )
-        # Effective latency sheet: rows = target node j, cols = comp.
-        sheet = np.broadcast_to(self.base_latencies, (k, m)).copy()
-        on_origin = inp.assignment == origin
-        sheet[:, on_origin] = l_minus[on_origin]
-        # Components on the target node j gain c_i's demand.
-        sheet[inp.assignment, np.arange(m)] = l_plus
-        # The migrating component itself.
-        sheet[:, i] = l_self
-        if self._trivial_groups:
-            group_means = sheet
+        self.L = np.zeros((inp.m, inp.k))
+        self.R = np.zeros((inp.m, inp.k))
+        if method == "fast":
+            self._fill(np.arange(inp.m), np.arange(inp.k))
         else:
-            group_means = (
-                np.add.reduceat(sheet, self._group_offsets, axis=1)
-                / self._group_sizes
-            )
-        stage_max = np.maximum.reduceat(
-            group_means, self._stage_offsets_groups, axis=1
-        )
-        l_row = self.base_overall - self._compose(stage_max)
-        r_row = self.base_latencies[i] - l_self
-        l_row[origin] = 0.0
-        r_row = np.asarray(r_row, dtype=np.float64)
-        r_row[origin] = 0.0
-        return l_row, r_row
-
-    def _build_fast(self) -> None:
-        inp = self.inputs
-        L = np.zeros((inp.m, inp.k))
-        R = np.zeros((inp.m, inp.k))
-        arrival_means = self._arrival_means()
-        for i in range(inp.m):
-            L[i, :], R[i, :] = self._row(i, arrival_means)
-        self.L, self.R = L, R
+            for i in range(inp.m):
+                for j in range(inp.k):
+                    self.L[i, j], self.R[i, j] = self.entry(i, j)
+        return self
 
     # ------------------------------------------------------------------
     # migration + Algorithm 2 incremental update
@@ -620,8 +722,9 @@ class PerformanceMatrix:
         """Mutate state as if ``c_i`` moved to node ``j``; returns origin.
 
         Updates the allocation array and the node totals, then refreshes
-        the base latencies — O(m), matching the paper's claim that the
-        matrix need not be rebuilt from scratch inside the loop.
+        the base latencies and tables — O(m + k²·S), matching the
+        paper's claim that the matrix need not be rebuilt from scratch
+        inside the loop.
         """
         inp = self.inputs
         origin = int(inp.assignment[i])
@@ -649,98 +752,42 @@ class PerformanceMatrix:
         """
         if self.L is None or self.R is None:
             raise SchedulingError("matrix must be built before updating")
-        inp = self.inputs
-        cand = sorted(set(int(c) for c in candidates) - {int(moved)})
-        arrival_means = self._arrival_means()
-        row_refreshed = set()
-        for r in cand:
-            if int(inp.assignment[r]) in (n_origin, n_destination):
-                self.L[r, :], self.R[r, :] = self._row(r, arrival_means)
-                row_refreshed.add(r)
-        column_rows = np.array(
-            [r for r in cand if r not in row_refreshed], dtype=np.int64
+        cand = np.array(
+            sorted(set(int(c) for c in candidates) - {int(moved)}),
+            dtype=np.int64,
         )
-        for c in (n_origin, n_destination):
-            self._update_column(c, column_rows, arrival_means)
-
-    def _update_column(
-        self, col: int, rows: np.ndarray, arrival_means: dict
-    ) -> None:
-        """Batched exact recomputation of ``L[rows, col]``/``R[rows, col]``.
-
-        Equivalent to calling :meth:`entry` per row (tested equal) but
-        amortises the work: all (row, affected-component) latency pairs
-        go through one class-batched prediction, and the per-row stage
-        maxima reduce over one ``(n_rows, G)`` group-means sheet.
-        """
-        inp = self.inputs
-        rows = rows[inp.assignment[rows] != col]
-        if rows.size == 0:
-            return
-        n_rows = rows.size
-        # (pair_row, pair_comp): components whose latency changes for
-        # each candidate migration row -> col.
-        pair_row: list = []
-        pair_comp: list = []
-        pair_sign: list = []  # -1 = loses d_r (origin), +1 = gains (target)
-        on_col = np.flatnonzero(inp.assignment == col)
-        comps_on = {
-            int(a): np.flatnonzero(inp.assignment == a)
-            for a in np.unique(inp.assignment[rows])
-        }
-        for p, r in enumerate(rows):
-            origin_comps = comps_on[int(inp.assignment[r])]
-            pair_row.extend([p] * origin_comps.size)
-            pair_comp.extend(origin_comps.tolist())
-            pair_sign.extend([-1] * origin_comps.size)
-            pair_row.extend([p] * on_col.size)
-            pair_comp.extend(on_col.tolist())
-            pair_sign.extend([+1] * on_col.size)
-        pair_row = np.asarray(pair_row, dtype=np.int64)
-        pair_comp = np.asarray(pair_comp, dtype=np.int64)
-        pair_sign = np.asarray(pair_sign, dtype=np.float64)
-        d = inp.demands[rows[pair_row]]
-        u_pairs = np.maximum(
-            self._u_now[pair_comp] + pair_sign[:, None] * d, 0.0
-        )
-        # The migrating component itself sees the target node's total
-        # (Table III row 1) — it appears in its origin block; overwrite.
-        self_mask = pair_comp == rows[pair_row]
-        u_pairs[self_mask] = inp.node_totals[col]
-        l_pairs = self._latencies_subset(pair_comp, u_pairs)
-        # Per-row group means with the pair deltas applied.
-        means = np.tile(self._base_group_means, (n_rows, 1))
-        groups = self._group_ordinal[pair_comp]
-        delta = (l_pairs - self.base_latencies[pair_comp]) / self._group_sizes[
-            groups
-        ]
-        np.add.at(means, (pair_row, groups), delta)
-        stage_max = np.maximum.reduceat(means, self._stage_offsets_groups, axis=1)
-        self.L[rows, col] = self.base_overall - self._compose(stage_max)
-        # Self-gain for the tie-break matrix.
-        l_self = np.empty(n_rows)
-        for cls in self._class_rows:
-            sel = np.array(
-                [p for p, r in enumerate(rows) if inp.classes[int(r)] is cls],
-                dtype=np.int64,
-            )
-            if sel.size == 0:
-                continue
-            l_self[sel] = _mg1(
-                arrival_means[cls][col],
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows[sel]],
-                self.predictor.rho_max,
-            )
-        self.R[rows, col] = self.base_latencies[rows] - l_self
+        moved_nodes = np.array([n_origin, n_destination], dtype=np.int64)
+        on_moved = np.isin(self.inputs.assignment[cand], moved_nodes)
+        self._fill(cand[on_moved], np.arange(self.inputs.k))
+        self._fill(cand[~on_moved], moved_nodes)
 
     def rebuild_rows(self, rows: Sequence[int]) -> None:
         """Exact refresh of whole rows (used by the 'full' update mode)."""
         if self.L is None or self.R is None:
             raise SchedulingError("matrix must be built before updating")
-        arrival_means = self._arrival_means()
-        for r in rows:
-            self.L[int(r), :], self.R[int(r), :] = self._row(int(r), arrival_means)
+        self._fill(rows, np.arange(self.inputs.k))
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each run, given the run lengths."""
+    return np.cumsum(counts) - counts
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for every ``(s, n)``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
+
+
+def _segments(outer: np.ndarray, stage: np.ndarray):
+    """Runs of equal ``(outer, stage)`` in a sequence sorted by both:
+    each run's outer value, stage and start offset."""
+    seg = np.flatnonzero(
+        np.r_[True, (outer[1:] != outer[:-1]) | (stage[1:] != stage[:-1])]
+    )
+    return outer[seg], stage[seg], seg
 
 
 def _mg1(means, scv, lam, rho_max):

@@ -52,6 +52,103 @@ def _random_inputs(rng, m=12, k=4, n_stages=3):
     )
 
 
+class ClassStubPredictor(StubPredictor):
+    """Per-class service-time scale and SCV, so class batching shows.
+
+    Cache contention *shortens* service here, as a fitted polynomial
+    may: a component that gains a neighbour can get faster, so a stage
+    maximum taken over the wrong groups no longer hides behind
+    monotonicity.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.coef = np.array([0.5, -0.02, 0.002, 0.004])
+
+    SCALE = {
+        ComponentClass.SEGMENTING: 0.7,
+        ComponentClass.SEARCHING: 1.0,
+        ComponentClass.AGGREGATING: 1.6,
+        ComponentClass.GENERIC: 1.2,
+    }
+    SCV = {
+        ComponentClass.SEGMENTING: 0.5,
+        ComponentClass.SEARCHING: 1.0,
+        ComponentClass.AGGREGATING: 2.0,
+        ComponentClass.GENERIC: 1.5,
+    }
+
+    def predict_mean_service(self, cls, contention):
+        return self.SCALE[cls] * super().predict_mean_service(cls, contention)
+
+    def scv(self, cls):
+        return self.SCV[cls]
+
+
+#: Replica-group sizes per stage: one group of 9 members, and groups
+#: small enough that most span several nodes.
+GROUP_SIZES = ((1, 3), (9, 2), (2, 1), (2,))
+#: Stage DAG over those stages: 0 -> {1, 2} -> 3, plus a 0 -> 3 skip.
+GROUP_PREDS = ((), (0,), (0,), (0, 1, 2))
+STAGE_CLASSES = (
+    ComponentClass.SEGMENTING,
+    ComponentClass.SEARCHING,
+    ComponentClass.GENERIC,
+    ComponentClass.AGGREGATING,
+)
+FEATURES = ("groups", "classes", "dag", "mix", "limits", "all")
+
+
+def _grouped_inputs(rng, features, k=4):
+    """Replica groups over few nodes, so groups span origins and
+    targets, with the named extras switched on ("all": every one)."""
+    on = set(FEATURES) if features == "all" else {features}
+    stage_of, group_of, classes = [], [], []
+    for stage, sizes in enumerate(GROUP_SIZES):
+        for size in sizes:
+            stage_of += [stage] * size
+            group_of += [len(set(group_of))] * size
+            if "classes" in on:
+                classes += [STAGE_CLASSES[stage]] * size
+            else:
+                classes += [ComponentClass.GENERIC] * size
+    m = len(stage_of)
+    demands = rng.uniform(0, 0.3, (m, 4)) * np.array([1.0, 10.0, 40.0, 15.0])
+    assignment = rng.integers(0, k, m)
+    node_totals = np.zeros((k, 4))
+    np.add.at(node_totals, assignment, demands)
+    node_totals += rng.uniform(0, 0.5, (k, 4)) * np.array([1.0, 20.0, 80.0, 30.0])
+    n_stages = len(GROUP_SIZES)
+    mix = "mix" in on
+    return MatrixInputs(
+        stage_of=np.array(stage_of),
+        classes=classes,
+        demands=demands,
+        assignment=assignment,
+        node_totals=node_totals,
+        arrival_rates=rng.uniform(5.0, 40.0, m),
+        node_limits=(
+            np.bincount(assignment, minlength=k) + 2 if "limits" in on else None
+        ),
+        group_of=np.array(group_of),
+        stage_predecessors=GROUP_PREDS if "dag" in on else None,
+        class_weights=np.array([0.6, 0.4]) if mix else None,
+        class_stage_participation=(
+            np.array([[1.0] * n_stages, [1.0, 0.0, 1.0, 0.5]]) if mix else None
+        ),
+        class_service_scales=np.array([1.0, 1.5]) if mix else None,
+    )
+
+
+def _spanning_groups(inputs):
+    """Group ids with members on more than one node."""
+    return {
+        int(g)
+        for g in np.unique(inputs.group_of)
+        if np.unique(inputs.assignment[inputs.group_of == g]).size > 1
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
@@ -74,6 +171,19 @@ class TestFastEqualsReference:
         fast = PerformanceMatrix(inputs.copy(), pred).build("fast")
         ref = PerformanceMatrix(inputs.copy(), pred).build("reference")
         np.testing.assert_allclose(fast.L, ref.L, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("features", FEATURES)
+    def test_grouped_instances(self, features, seed):
+        """Every (i, j), including a group's member moving onto a node
+        that hosts others of its group, and a group of 9."""
+        inputs = _grouped_inputs(np.random.default_rng([seed, 7]), features)
+        assert _spanning_groups(inputs)
+        pred = ClassStubPredictor()
+        fast = PerformanceMatrix(inputs.copy(), pred).build("fast")
+        ref = PerformanceMatrix(inputs.copy(), pred).build("reference")
+        np.testing.assert_allclose(fast.L, ref.L, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(fast.R, ref.R, rtol=1e-10, atol=1e-12)
 
     def test_unknown_method_rejected(self, rng):
         inputs = _random_inputs(rng)
@@ -157,7 +267,7 @@ class TestTableIIIDirections:
                 u_new[c] = np.maximum(u_new[c] - d, 0.0)
             elif inputs.assignment[c] == target:
                 u_new[c] = u_new[c] + d
-        l_new = pm._latencies_full(u_new)
+        l_new = pm._latencies(np.arange(inputs.m), u_new)
         for c in range(inputs.m):
             if c == i:
                 continue
@@ -224,6 +334,44 @@ class TestMigrationAndUpdate:
                 for c in range(inputs.k):
                     fresh = pm.entry(r, c)
                     assert pm.L[r, c] == pytest.approx(fresh[0], abs=1e-12)
+
+    @pytest.mark.parametrize("features", FEATURES)
+    def test_algorithm2_sequence_matches_fresh_entries(self, features):
+        """Three migrations in a row, the first moving a replica onto a
+        node that hosts more of its group; after each, every refreshed
+        row and column equals fresh entries."""
+        inputs = _grouped_inputs(np.random.default_rng(11), features)
+        pm = PerformanceMatrix(inputs, ClassStubPredictor()).build("fast")
+        candidates = set(range(inputs.m))
+        for step in range(3):
+            sub = pm.L.copy()
+            sub[sorted(set(range(inputs.m)) - candidates)] = -np.inf
+            if inputs.node_limits is not None:
+                full = inputs.component_counts() >= inputs.node_limits
+                sub[:, full] = -np.inf
+            if step == 0:
+                # A member of a spread group, onto a node of its group.
+                i = next(
+                    int(c) for c in range(inputs.m)
+                    if int(inputs.group_of[c]) in _spanning_groups(inputs)
+                )
+                mates = inputs.assignment[inputs.group_of == inputs.group_of[i]]
+                j = int(next(n for n in mates if n != inputs.assignment[i]))
+            else:
+                i, j = (int(x) for x in np.unravel_index(np.argmax(sub), sub.shape))
+            origin = pm.apply_migration(i, j)
+            candidates.discard(i)
+            pm.algorithm2_update(i, origin, j, candidates)
+            for r in candidates:
+                cols = (
+                    range(inputs.k)
+                    if int(inputs.assignment[r]) in (origin, j)
+                    else (origin, j)
+                )
+                for c in cols:
+                    fresh = pm.entry(r, c)
+                    assert pm.L[r, c] == pytest.approx(fresh[0], abs=1e-12)
+                    assert pm.R[r, c] == pytest.approx(fresh[1], abs=1e-12)
 
     def test_update_before_build_rejected(self, rng):
         pm = PerformanceMatrix(_random_inputs(rng), StubPredictor())
