@@ -8,7 +8,7 @@ model"); we use ridge-regularised polynomial least squares, which
 * is exactly linear regression at ``degree=1``;
 * captures the mild super-linearity of contention penalties at
   ``degree=2`` (the default);
-* fits in closed form with one ``scipy.linalg.lstsq`` call and predicts
+* fits in closed form with one ``np.linalg.lstsq`` call and predicts
   vectorised over NumPy arrays — no iterative optimiser, per the
   HPC-guide preference for simple, measurable kernels.
 """

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from repro.errors import ConfigurationError
 
@@ -347,12 +346,12 @@ class Weibull(Distribution):
 
     @property
     def mean(self) -> float:
-        return self.lam * float(_gamma_fn(1.0 + 1.0 / self.k))
+        return self.lam * math.gamma(1.0 + 1.0 / self.k)
 
     @property
     def var(self) -> float:
-        g1 = float(_gamma_fn(1.0 + 1.0 / self.k))
-        g2 = float(_gamma_fn(1.0 + 2.0 / self.k))
+        g1 = math.gamma(1.0 + 1.0 / self.k)
+        g2 = math.gamma(1.0 + 2.0 / self.k)
         return self.lam**2 * (g2 - g1 * g1)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):

@@ -59,3 +59,32 @@ def test_readme_quickstart_snippet_runs():
     result = run_quick_comparison(arrival_rate=60.0, seed=2, n_intervals=4)
     out = result.render()
     assert "Basic" in out and "PCS" in out
+
+
+def test_every_module_imports_without_scipy():
+    """The package declares numpy as its only numeric dependency: every
+    module must import with scipy unavailable."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages("
+        "repro.__path__, 'repro.') if not m.name.endswith('__main__')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.strip()) > 50
