@@ -16,19 +16,33 @@ any component on the target    ``U + U_{c_i}``
 any other component            ``U``  (unchanged)
 =============================  ======================================
 
-Two implementations with identical results (property-tested):
+Only components on the origin and the target node change latency, so
+only the replica groups with a member on one of those two nodes change
+their Eq. 3 mean.  One kernel, :meth:`PerformanceMatrix._block`,
+computes ``(L, R)`` for a block of rows × target nodes from exactly
+those latencies:
 
-``build(method="reference")``
-    literal translation of the rules above — O(m·k) entries, each
-    recomputing all m latencies; kept legible as the specification.
+- each row's node-mates under ``U − U_{c_i}``, in one class-batched
+  predictor and Eq. 2 call;
+- every component on a target under ``U + U_{c_i}``, in one such call;
+- the row itself on each target, from the arrival means predicted once
+  per allocation.
 
-``build(method="fast")``
-    the production path: per migrating component ``i`` it builds the
-    ``(k, m)`` effective-latency sheet with three vectorised updates
-    (origin column block, one scatter for every target node, the moved
-    component's own column) and reduces stage maxima with one
-    ``np.maximum.reduceat`` — no Python-level inner loops, following
-    the vectorise-the-hot-path guidance of the HPC notes.
+A stage's new maximum is the larger of the touched groups' new means
+and a per-allocation table that holds, for every pair of nodes, the
+best base group mean among the groups on neither.  ``build("fast")``
+runs the kernel over row chunks of at most :data:`BLOCK_PAIRS` pairs;
+Algorithm 2's update runs it once for the candidates on the two moved
+nodes and once for the other candidates' two moved columns.
+
+Exactness: every entry equals :meth:`PerformanceMatrix.entry`, the
+one-cell reading of the table above, to rtol 1e-10;
+``build("reference")`` calls it for every cell and is the oracle the
+kernel is tested against.  A group with all its members on one node
+sums them in index order, as recomputing all m latencies would, so its
+entries match that recomputation bit for bit (every entry does when
+each component is its own group).  A group spread over both nodes sums
+its two parts separately and may differ in the last ulp.
 
 The matrix also tracks ``R[i][j]`` — the migrated component's *own*
 latency reduction — because Algorithm 1 line 7 breaks ties on it.
@@ -36,8 +50,8 @@ latency reduction — because Algorithm 1 line 7 breaks ties on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -440,8 +454,8 @@ class PerformanceMatrix:
 
     def _refresh_base(self) -> None:
         """Base latencies and objective, then the per-allocation tables
-        the kernel reads: cells, links, the untouched-group table and
-        the arrival means."""
+        the kernel reads: cells, the untouched-group table and the
+        arrival means."""
         inp = self.inputs
         m, k = inp.m, inp.k
         self._u_now = self._contention_now()
@@ -473,17 +487,9 @@ class PerformanceMatrix:
         # Base sum of each cell, and of the rest of its group.
         self._cell_sum = np.add.reduceat(self.base_latencies[self._by_node], first)
         self._cell_rest = group_sums[self._cell_group] - self._cell_sum
-        # Links: for every cell, its group's cells on other nodes.
-        by_group = np.argsort(self._cell_group, kind="stable")
-        group_cells = np.bincount(self._cell_group, minlength=self._group_sizes.size)
-        owned = group_cells[self._cell_group]
-        owner = np.repeat(np.arange(first.size), owned)
-        peer = by_group[
-            _ranges(_starts(group_cells)[self._cell_group], owned)
-        ]
-        self._link_cell = peer[peer != owner]
-        self._link_count = owned - 1
-        self._link_start = _starts(self._link_count)
+        # The cell of each (group, node), or -1.
+        self._cell_of = np.full((self._group_sizes.size, k), -1, dtype=np.int64)
+        self._cell_of[self._cell_group, self._cell_node] = np.arange(first.size)
         self._untouched = self._untouched_table()
         # Mean service time of a new arrival on every node (Table III
         # row 1), per class.
@@ -507,8 +513,7 @@ class PerformanceMatrix:
         means = self._base_group_means
         offsets = self._stage_offsets_groups
         counts = np.diff(np.append(offsets, means.size))
-        touch = np.zeros((means.size, k), dtype=bool)
-        touch[self._cell_group, self._cell_node] = True
+        touch = self._cell_of >= 0
         ranked = np.lexsort((-means, self._group_stage))
         best = ranked[offsets]
         free = ~touch[best].T
@@ -646,14 +651,11 @@ class PerformanceMatrix:
 
         # A group on both nodes: its target cell's delta joins the
         # origin entry, and the target entry drops out.
-        n_links = self._link_count[o_cells]
-        x_entry = np.repeat(np.arange(o_cells.size), n_links)
-        x_cell = self._link_cell[_ranges(self._link_start[o_cells], n_links)]
-        target_pos = np.full(inp.k, -1, dtype=np.int64)
-        target_pos[targets] = np.arange(n_targets)
-        x_target = target_pos[self._cell_node[x_cell]]
-        keep = x_target >= 0
-        x_entry, x_cell, x_target = x_entry[keep], x_cell[keep], x_target[keep]
+        x_cell = self._cell_of[self._cell_group[o_cells][:, None], targets]
+        x_entry, x_target = np.nonzero(
+            (x_cell >= 0) & (targets != origin[o_cell_row][:, None])
+        )
+        x_cell = x_cell[x_entry, x_target]
         cell_pos = np.full(self._cell_size.size, -1, dtype=np.int64)
         cell_pos[t_cells] = np.arange(t_cells.size)
         x_pos, x_row = cell_pos[x_cell], o_cell_row[x_entry]

@@ -16,7 +16,12 @@ The greedy loop, as in the paper:
 
 Complexity O(m²·k) per scheduling interval (§V), which Fig. 7 measures;
 the scheduler therefore separates *analysis time* (matrix construction)
-from *search time* (the greedy loop) in its outcome record.
+from *search time* (the greedy loop) in its outcome record.  The
+matrix kernel (:mod:`repro.model.matrix`) predicts m² latencies for
+the build (each row against every component) and m·n for one
+Algorithm 2 update, n being the components on the two moved nodes;
+stage maxima add m·k·S array entries per build and a k²·S table per
+allocation.
 """
 
 from __future__ import annotations
