@@ -61,10 +61,6 @@ class ClassStubPredictor(StubPredictor):
     monotonicity.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.coef = np.array([0.5, -0.02, 0.002, 0.004])
-
     SCALE = {
         ComponentClass.SEGMENTING: 0.7,
         ComponentClass.SEARCHING: 1.0,
@@ -77,6 +73,10 @@ class ClassStubPredictor(StubPredictor):
         ComponentClass.AGGREGATING: 2.0,
         ComponentClass.GENERIC: 1.5,
     }
+
+    def __init__(self):
+        super().__init__()
+        self.coef = np.array([0.5, -0.02, 0.002, 0.004])
 
     def predict_mean_service(self, cls, contention):
         return self.SCALE[cls] * super().predict_mean_service(cls, contention)
@@ -344,11 +344,6 @@ class TestMigrationAndUpdate:
         pm = PerformanceMatrix(inputs, ClassStubPredictor()).build("fast")
         candidates = set(range(inputs.m))
         for step in range(3):
-            sub = pm.L.copy()
-            sub[sorted(set(range(inputs.m)) - candidates)] = -np.inf
-            if inputs.node_limits is not None:
-                full = inputs.component_counts() >= inputs.node_limits
-                sub[:, full] = -np.inf
             if step == 0:
                 # A member of a spread group, onto a node of its group.
                 i = next(
@@ -358,6 +353,12 @@ class TestMigrationAndUpdate:
                 mates = inputs.assignment[inputs.group_of == inputs.group_of[i]]
                 j = int(next(n for n in mates if n != inputs.assignment[i]))
             else:
+                # The greedy's pick among candidates and free nodes.
+                sub = pm.L.copy()
+                sub[sorted(set(range(inputs.m)) - candidates)] = -np.inf
+                if inputs.node_limits is not None:
+                    full = inputs.component_counts() >= inputs.node_limits
+                    sub[:, full] = -np.inf
                 i, j = (int(x) for x in np.unravel_index(np.argmax(sub), sub.shape))
             origin = pm.apply_migration(i, j)
             candidates.discard(i)
