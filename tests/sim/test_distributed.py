@@ -475,9 +475,11 @@ class TestDistributedBackend:
         n_jobs = len(spec.points())  # chunk_size=1: one job per point
 
         def steal_everything():
-            stolen = 0
+            # Distinct jobs: the coordinator may reclaim a stolen job
+            # and dispatch it again before the thief has seen them all.
+            stolen = set()
             deadline = time.monotonic() + 60
-            while stolen < n_jobs and time.monotonic() < deadline:
+            while len(stolen) < n_jobs and time.monotonic() < deadline:
                 for job_id in spool.pending_jobs():
                     payload = spool.claim(job_id)
                     if payload is None:
@@ -487,9 +489,9 @@ class TestDistributedBackend:
                     spool._atomic_write(
                         spool.claims_dir / f"{job_id}.json", payload
                     )
-                    stolen += 1
+                    stolen.add(job_id)
                 time.sleep(0.005)
-            return stolen
+            return len(stolen)
 
         box = {}
         coordinator = threading.Thread(
