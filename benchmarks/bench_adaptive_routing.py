@@ -72,7 +72,7 @@ def _segment_index(rates, x):
 
 def test_adaptive_routing(capsys):
     t0 = time.perf_counter()
-    result = run_fig6(_CONFIG, workers=4, backend="thread")
+    result = run_fig6(_CONFIG)
     wall_sweep = time.perf_counter() - t0
     summary = result.seed_summary()
 

@@ -12,11 +12,12 @@ Four claims, measured:
    always);
 3. resuming a completed sweep from the on-disk cache is at least an
    order of magnitude faster than recomputing it;
-4. on a small grid (<= 8 points) the thread backend beats the spawn
-   process backend: spawn pays an interpreter + numpy import and a
-   cold predictor memo per worker, which a small grid cannot
-   amortise, while threads share all three (asserted everywhere —
-   the grid is sized so that start-up tax dominates its compute).
+4. on a small grid (<= 8 points) ``auto`` picks the serial backend,
+   and serial beats the spawn process backend: spawn pays an
+   interpreter + numpy import and a cold predictor memo per worker,
+   which a small grid cannot amortise, while the inline path pays
+   none of them (asserted everywhere — the grid is sized so that
+   start-up tax dominates its compute).
 
 Measured numbers are persisted as ``BENCH_sweep_*.json`` records (see
 :mod:`recording`).
@@ -31,7 +32,7 @@ from recording import record_benchmark
 from repro.baselines.policies import BasicPolicy, REDPolicy, ReissuePolicy
 from repro.experiments.fig6 import paper_pcs_policy
 from repro.service.nutch import NutchConfig
-from repro.sim.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.sim.backends import ProcessBackend, SerialBackend
 from repro.sim.runner import RunnerConfig
 from repro.sim.sweep import ParallelSweepRunner, SweepSpec
 from repro.workloads.generator import GeneratorConfig
@@ -139,7 +140,7 @@ def _small_grid_spec() -> SweepSpec:
 
     Tiny topology and short intervals keep per-point work around a
     hundred milliseconds; the PCS policy adds predictor training,
-    which the thread backend performs once (shared memo) and every
+    which the serial backend performs once (warm memo) and every
     spawn worker repeats from a cold memo.
     """
     base = RunnerConfig(
@@ -170,31 +171,29 @@ def _small_grid_spec() -> SweepSpec:
 def test_sweep_backends_small_grid(benchmark):
     """Claim 4: per-backend wall-clock on a small (6-point) grid.
 
-    Thread workers share the interpreter, the imported modules and the
-    predictor memo; spawn workers each pay an interpreter + numpy
+    The inline path reuses the interpreter, the imported modules and
+    the predictor memo; spawn workers each pay an interpreter + numpy
     import and train their own predictor.  On a grid this small that
-    overhead cannot be amortised, so the thread backend must win —
-    exactly the regime the ``auto`` rule routes to threads.
+    overhead cannot be amortised, so serial must win — exactly the
+    regime the ``auto`` rule keeps inline.
     """
     spec = _small_grid_spec()
     assert spec.n_points <= 8
 
-    # The cost-aware auto rule must route this small *cheap* grid to
-    # threads (the spec-based estimate sits below the spawn-tax
-    # cutoff); the recorded choice rides in the benchmark artifact so
-    # CI provenance shows what `auto` actually picked.
+    # The cost-aware auto rule must keep this small *cheap* grid inline
+    # (the spec-based estimate sits below the spawn-tax cutoff); the
+    # recorded choice rides in the benchmark artifact so CI provenance
+    # shows what `auto` actually picked.
     auto_choice = ParallelSweepRunner(spec, workers=4)._resolve_backend(
         spec.n_points, []
     ).name
-    assert auto_choice == "thread", (
+    assert auto_choice == "serial", (
         f"auto routed the small cheap grid to {auto_choice!r}"
     )
 
     backends = {
         "serial": SerialBackend(),
-        "thread": ThreadBackend(4),
         "process": ProcessBackend(4),
-        "process_chunked": ProcessBackend(4, chunk_size=2),
     }
     timings = {}
     outcomes = {}
@@ -217,28 +216,27 @@ def test_sweep_backends_small_grid(benchmark):
                 == outcomes["serial"].results[point].metrics_dict()
             ), f"{name}: {point.describe()}"
 
-    speedup = timings["process"] / timings["thread"]
+    speedup = timings["process"] / timings["serial"]
     print(
         f"\n{spec.n_points}-point grid: "
         + ", ".join(f"{n} {t:.2f}s" for n, t in timings.items())
-        + f" -> thread beats spawn {speedup:.2f}x"
+        + f" -> serial beats spawn {speedup:.2f}x"
     )
     record_benchmark(
         "sweep_backends_small_grid",
-        {**timings, "thread_vs_process_speedup": speedup},
+        {**timings, "serial_vs_process_speedup": speedup},
         config={
             "n_points": spec.n_points,
             "workers": 4,
-            "chunk_size_chunked": 2,
             "usable_cores": _usable_cores(),
             "scenario": spec.scenario,
             "auto_backend_choice": auto_choice,
         },
     )
-    # Claim 4: the whole point of the thread backend.
-    assert timings["thread"] < timings["process"], (
-        f"expected the thread backend to beat spawn on a "
-        f"{spec.n_points}-point grid, got thread {timings['thread']:.2f}s "
+    # Claim 4: auto's small-grid choice beats spawn.
+    assert timings["serial"] < timings["process"], (
+        f"expected the serial backend to beat spawn on a "
+        f"{spec.n_points}-point grid, got serial {timings['serial']:.2f}s "
         f"vs process {timings['process']:.2f}s"
     )
 

@@ -11,13 +11,12 @@ Results are bit-identical whatever the worker count — and whatever the
 grid coordinates, so parallelism is free of heisen-numbers.  Kill the
 script mid-sweep and rerun it — completed points are not recomputed.
 
-The script also demonstrates backend choice (the CLI equivalent is
-``--backend thread`` / ``--chunk-size``): the sweep's leftover points
-after an interruption form a *small* pending set, exactly where the
-thread backend shines — in-process workers skip the per-spawn
-interpreter + numpy import and share one trained-predictor memo, so a
-handful of points finishes before a spawn pool would have finished
-importing numpy.
+The script also demonstrates the default backend choice (``auto``,
+also the CLI default): the sweep's leftover points after an
+interruption form a *small* pending set of cheap points, which
+``auto`` runs inline — no per-spawn interpreter + numpy import and a
+warm trained-predictor memo, so a handful of points finishes before a
+spawn pool would have finished importing numpy.
 """
 
 import os
@@ -80,11 +79,10 @@ def main() -> None:
             f"({resumed.cache_hits}/{spec.n_points} points from cache)\n"
         )
 
-        # Backend choice (CLI: --backend thread).  Simulate an
-        # interruption that lost a few points: the small pending set is
-        # exactly where in-process threads beat spawn workers, which
-        # would each pay an interpreter + numpy import to recompute
-        # three cells.
+        # Resume through auto.  Simulate an interruption that lost a
+        # few points: auto sizes the backend by what is still pending,
+        # and three cheap cells run inline rather than on spawn
+        # workers that would each pay an interpreter + numpy import.
         from repro.sim.sweep import SweepCache, point_cache_key
 
         cache = SweepCache(cache_dir)
@@ -93,18 +91,16 @@ def main() -> None:
                 point_cache_key(spec.runner_config(point), point.policy)
             ).unlink()
         t0 = time.perf_counter()
-        threaded = ParallelSweepRunner(
-            spec, workers=workers, cache=cache, backend="thread"
-        ).run()
+        repaired = ParallelSweepRunner(spec, workers=workers, cache=cache).run()
         print(
-            f"thread-backend repair of 3 lost points: "
+            "auto repair of 3 lost points: "
             f"{time.perf_counter() - t0:.2f} s "
-            f"({threaded.cache_hits}/{spec.n_points} from cache); "
-            "identical numbers, no spawn import cost\n"
+            f"({repaired.cache_hits}/{spec.n_points} from cache); "
+            "identical numbers\n"
         )
         for point in spec.points()[:3]:
             assert (
-                threaded.results[point].metrics_dict()
+                repaired.results[point].metrics_dict()
                 == first.results[point].metrics_dict()
             )
 

@@ -23,20 +23,19 @@ Subcommands regenerate the paper's evaluation artifacts:
 - ``scenarios`` — the registered workload-scenario catalog
   (:mod:`repro.scenarios`), with live topology summaries.
 
-``sweep`` additionally accepts ``--backend distributed --spool DIR
-[--wait-workers N]`` to fan points out over spool workers on any hosts
-sharing DIR (:mod:`repro.sim.distributed`; bit-identical results), and
-``auto`` with a ``--spool`` routes expensive grids there by itself.
-
 ``fig5``/``fig6``/``fig7``/``sweep`` accept ``--workers N`` to fan
-independent points out over workers and ``--backend
-{auto,serial,thread,process}`` / ``--chunk-size K`` to pick how those
-workers execute (:mod:`repro.sim.backends`; results are identical for
-every choice — ``auto`` runs small pending sets on in-process threads,
-which skip the per-spawn interpreter + numpy import, and large ones on
-spawn processes, with ``--chunk-size`` batching points per process
-task); ``aggregate`` accepts the same flags to fan the cache's point
-loads out.  ``fig6``/``sweep`` accept ``--cache-dir`` to memoize
+independent points out over spawn processes and ``--backend
+{auto,serial,process}`` to pick how they execute
+(:mod:`repro.sim.backends`; results are identical for every choice —
+``auto`` runs small sets of cheap points inline, which skips the
+per-spawn interpreter + numpy import, and expensive points or large
+sets on spawn processes, one point per task).  ``sweep`` additionally
+accepts ``--backend distributed --spool DIR [--wait-workers N]
+[--chunk-size K]`` to fan points out over spool workers on any hosts
+sharing DIR, ``K`` points per job (:mod:`repro.sim.distributed`;
+bit-identical results), and ``auto`` with a ``--spool`` routes
+expensive grids there by itself.  ``aggregate`` loads the cache's
+point files inline.  ``fig6``/``sweep`` accept ``--cache-dir`` to memoize
 completed points on disk so interrupted runs resume, and
 ``--seeds``/``sweep --aggregate`` to repeat cells across seeds and
 reduce them through the shared aggregate layer.  ``quick``/``sweep``/
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_args(p, default="auto", distributed=False):
-        choices = ["auto", "serial", "thread", "process"]
+        choices = ["auto", "serial", "process"]
         if distributed:
             choices.append("distributed")
         p.add_argument(
@@ -129,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=choices,
             default=default,
             help="how workers execute (repro.sim.backends): auto picks "
-            "serial for 1 worker, spawn processes for points whose "
-            "estimated cost outweighs the per-worker spawn tax "
-            "(cost-aware), in-process threads for small cheap pending "
-            "sets (no spawn import cost), spawn processes otherwise"
+            "serial for 1 worker or a small set of cheap points (no "
+            "spawn import cost), spawn processes with one point per "
+            "task for points whose estimated cost outweighs the "
+            "per-worker spawn tax (cost-aware) or for large sets"
             + (
                 "; distributed ships points as job files through "
                 "--spool to repro.worker processes (auto also routes "
@@ -141,14 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                 else ""
             ),
         )
-        p.add_argument(
-            "--chunk-size", type=_positive_int, default=None,
-            dest="chunk_size",
-            help="points shipped per process task (process/distributed "
-            "backends), amortising each worker's per-dispatch cost "
-            "across a chunk",
-        )
         if distributed:
+            p.add_argument(
+                "--chunk-size", type=_positive_int, default=None,
+                dest="chunk_size",
+                help="points shipped per spool job (distributed only), "
+                "amortising the per-job dispatch cost across a chunk",
+            )
             p.add_argument(
                 "--spool", default=None,
                 help="shared spool directory for the distributed "
@@ -259,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p7.add_argument("--seed", type=int, default=0)
     p7.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="workers for grid points (keep 1 for faithful timings; "
-        ">1 defaults to spawn processes — thread workers would "
-        "contend for the GIL and inflate the measured durations)",
+        help="workers for grid points (keep 1 for faithful timings: "
+        "co-scheduled points steal cycles from each other)",
     )
     add_backend_args(p7, default=None)
     add_scenario_args(p7, default=None)
@@ -365,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dead-worker files, orphaned temp files) from this distributed "
         "sweep spool directory",
     )
-    pg.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="workers for loading the cache's point files "
-        "(the summary is identical for any value)",
-    )
-    add_backend_args(pg)
 
     pw = sub.add_parser(
         "worker",
@@ -641,24 +632,8 @@ def _run_aggregate(args) -> int:
                 f"gc: removed {len(removed)} orphaned/temp file(s)",
                 file=sys.stderr,
             )
-        from repro.sim.backends import backend_from_name, io_bound_backend
-
-        # Cache loads are tiny I/O-bound JSON reads: ``auto`` here means
-        # inline for one worker and *threads* otherwise — never the
-        # sweep's compute-tuned rule, which would spawn a process pool
-        # (interpreter + numpy import per worker) to read small files.
-        if args.backend in (None, "auto"):
-            backend = None if args.workers == 1 else io_bound_backend(args.workers)
-        else:
-            backend = backend_from_name(
-                args.backend,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-            )
         summary = SweepSummary.from_cache(
-            cache,
-            AggregateConfig(confidence=args.confidence),
-            backend=backend,
+            cache, AggregateConfig(confidence=args.confidence)
         )
         metrics = (
             [m for m in args.metrics.split(",") if m]
@@ -666,7 +641,7 @@ def _run_aggregate(args) -> int:
             else list(DEFAULT_TABLE_METRICS)
         )
         if args.compare is not None:
-            return _run_compare(args, cache, summary, metrics, backend)
+            return _run_compare(args, cache, summary, metrics)
         if args.json:
             import json
 
@@ -679,7 +654,7 @@ def _run_aggregate(args) -> int:
     return 0
 
 
-def _run_compare(args, cache, summary, metrics, backend) -> int:
+def _run_compare(args, cache, summary, metrics) -> int:
     """``aggregate --compare DIR``: spec diff + joint paired-delta table.
 
     Exceptions propagate to ``_run_aggregate``'s handler so a missing
@@ -691,9 +666,7 @@ def _run_compare(args, cache, summary, metrics, backend) -> int:
 
     other_cache = SweepCache(args.compare)
     other = SweepSummary.from_cache(
-        other_cache,
-        AggregateConfig(confidence=args.confidence),
-        backend=backend,
+        other_cache, AggregateConfig(confidence=args.confidence)
     )
     spec_diff = cache.diff(other_cache)
     if args.json:
@@ -772,12 +745,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, scenario=args.scenario, scale=_shape_scale(args)
         )
         print(
-            run_fig5(
-                cfg,
-                workers=args.workers,
-                backend=args.backend,
-                chunk_size=args.chunk_size,
-            ).render()
+            run_fig5(cfg, workers=args.workers, backend=args.backend).render()
         )
     elif args.command == "fig6":
         from repro.experiments.fig6 import Fig6Config, run_fig6
@@ -821,7 +789,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             backend=args.backend,
-            chunk_size=args.chunk_size,
         )
         print(result.render())
         print(f"\n(wall time: {result.wall_time_s:.1f} s)")
@@ -832,12 +799,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, scenario=args.scenario, scale=_shape_scale(args)
         )
         print(
-            run_fig7(
-                cfg,
-                workers=args.workers,
-                backend=args.backend,
-                chunk_size=args.chunk_size,
-            ).render()
+            run_fig7(cfg, workers=args.workers, backend=args.backend).render()
         )
     elif args.command == "ablations":
         from repro.experiments.ablations import AblationConfig, run_all_ablations

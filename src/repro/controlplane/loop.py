@@ -4,9 +4,9 @@ predict → decide → act.
 :class:`ControlLoop` owns the four phase objects
 (:mod:`repro.controlplane.phases`) and a :class:`Clock`
 (:mod:`repro.controlplane.clock`), and is the single implementation of
-the interval loop: ``ExperimentRunner.run_interval`` /
-``_schedule_interval`` / ``collect`` all delegate here, with the batch
-replay being the :class:`VirtualClock` degenerate case.
+the interval loop: ``ExperimentRunner.run_interval`` / ``collect``
+both delegate here, with the batch replay being the
+:class:`VirtualClock` degenerate case.
 
 **Bit-identity contract.**  With a virtual clock and ``live=False``
 the loop performs exactly the statements (RNG draws, float arithmetic,

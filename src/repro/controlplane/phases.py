@@ -1,8 +1,8 @@
 """The four control-plane phases: monitor → predict → decide → act.
 
 Each phase is the named, separately-drivable form of a body that used
-to be inlined in ``ExperimentRunner._schedule_interval``; together they
-are one PCS control step.  The decomposition is *statement-preserving*:
+to be inlined in the runner's interval loop; together they are one PCS
+control step.  The decomposition is *statement-preserving*:
 the monitor phase performs exactly the RNG draws (node windows, in
 cluster order) and the predict phase exactly the float arithmetic of
 the pre-refactor code, so driving them in sequence is bit-identical to
@@ -104,8 +104,8 @@ class MonitorPhase:
         """One windowed observation of every node and component.
 
         The node-window draws consume the monitor's named RNG stream in
-        cluster-node order — the exact sequence the pre-refactor
-        ``_schedule_interval`` consumed.
+        cluster-node order — the exact sequence the pre-refactor inline
+        scheduling step consumed.
         """
         lam_service = outcome.n_requests / self.interval_s
         node_totals = np.stack(
@@ -224,14 +224,22 @@ class PredictPhase:
                     / group.n_replicas
                 )
         topology = service.topology
+        assignment = np.array(self.cluster.placement_indices(components))
+        # The starting placement may fill a node past service_slots (up
+        # to its machine slots); such a node keeps its current count as
+        # its limit, so it takes no new component but may shed some.
+        node_limits = np.maximum(
+            self.service_slots,
+            np.bincount(assignment, minlength=len(self.cluster)),
+        )
         return MatrixInputs(
             stage_of=np.array([c.stage_index for c in components]),
             classes=[c.cls for c in components],
             demands=np.stack([c.demand.as_array() for c in components]),
-            assignment=np.array(self.cluster.placement_indices(components)),
+            assignment=assignment,
             node_totals=snapshot.node_totals,
             arrival_rates=lam,
-            node_limits=np.full(len(self.cluster), self.service_slots),
+            node_limits=node_limits,
             group_of=self.group_ids,
             # DAG topologies weight stragglers by critical-path
             # membership; None keeps the exact chain-sum objective.

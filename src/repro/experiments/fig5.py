@@ -243,11 +243,11 @@ def campaign_cost_estimate_s(cfg: Fig5Config) -> float:
     Each campaign simulates ``n_sizes × (train + test) × window_s``
     seconds of profiling windows.  Default-size campaigns are *light*
     (tens of milliseconds), so the cost-aware ``auto`` backend rule
-    correctly keeps the six-campaign batch on zero-start-up threads —
-    a spawn pool would pay seconds of per-worker import for
-    sub-second total compute.  Scaled-up campaigns (many sizes, long
-    windows) clear the spawn-tax cutoff and route to processes, where
-    true parallelism finally pays for itself.
+    correctly runs the six-campaign batch inline — a spawn pool would
+    pay seconds of per-worker import for sub-second total compute.
+    Scaled-up campaigns (many sizes, long windows) clear the spawn-tax
+    cutoff and route to processes, where true parallelism finally pays
+    for itself.
     """
     windows = cfg.train_windows + cfg.test_windows
     n_sizes = max(cfg.n_hadoop_sizes, cfg.n_spark_sizes)
@@ -260,7 +260,6 @@ def run_fig5(
     config: Fig5Config | None = None,
     workers: int = 1,
     backend=None,
-    chunk_size=None,
 ) -> Fig5Result:
     """Run the whole Fig. 5 campaign.
 
@@ -269,8 +268,8 @@ def run_fig5(
     RNG streams make the numbers identical for any worker count or
     backend.  The default ``backend=None`` goes through the cost-aware
     ``auto`` rule with :func:`campaign_cost_estimate_s`: default-size
-    campaigns are cheap and stay on threads (no spawn tax), scaled-up
-    ones route to spawn processes for true parallelism.
+    campaigns are cheap and run inline (no spawn tax), scaled-up ones
+    route to spawn processes for true parallelism.
     """
     cfg = config or Fig5Config()
     per_workload = parallel_map(
@@ -278,7 +277,6 @@ def run_fig5(
         [(w, cfg) for w in HADOOP_WORKLOADS + SPARK_WORKLOADS],
         workers=workers,
         backend=backend,
-        chunk_size=chunk_size,
         est_cost_s=campaign_cost_estimate_s(cfg),
     )
     cases = [case for campaign in per_workload for case in campaign]

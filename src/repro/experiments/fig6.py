@@ -425,17 +425,16 @@ def run_fig6(
     workers: int = 1,
     cache_dir: Union[str, SweepCache, None] = None,
     backend=None,
-    chunk_size=None,
 ) -> Fig6Result:
     """Run the whole Fig. 6 sweep (shared seeds across policies).
 
     ``workers`` fans the (policy, rate) grid out over an execution
     backend via :class:`~repro.sim.sweep.ParallelSweepRunner`
-    (``backend``/``chunk_size`` select how — threads for small pending
-    sets by default, spawn processes for big grids); results are
-    bit-identical to ``workers=1``.  ``cache_dir`` memoizes completed
-    cells on disk so an interrupted or repeated sweep resumes instead
-    of recomputing.
+    (``backend`` selects how — by default inline for small sets of
+    cheap pending points, spawn processes for expensive points or big
+    grids); results are bit-identical to ``workers=1``.  ``cache_dir``
+    memoizes completed cells on disk so an interrupted or repeated
+    sweep resumes instead of recomputing.
     """
     cfg = config or Fig6Config()
     sweep = ParallelSweepRunner(
@@ -444,7 +443,6 @@ def run_fig6(
         cache=cache_dir,
         progress=(lambda p: print(p.render())) if verbose else None,
         backend=backend,
-        chunk_size=chunk_size,
     )
     outcome = sweep.run()
     return Fig6Result(

@@ -311,9 +311,7 @@ def point_cost_estimate_s(cfg: Fig7Config) -> float:
 
     Scheduling work scales with the ``m × k`` matrix; the largest
     point dominates a batch's wall-clock, so the ``auto`` backend rule
-    sizes the whole batch by it — the conservative choice for Fig. 7,
-    where thread workers sharing the GIL would silently inflate the
-    *measured* durations that are the figure's whole output.
+    sizes the whole batch by it.
     """
     cells = max(
         [cfg.repeats * m * k for m, k in cfg.sizes]
@@ -326,7 +324,6 @@ def run_fig7(
     config: Fig7Config | None = None,
     workers: int = 1,
     backend=None,
-    chunk_size=None,
 ) -> Fig7Result:
     """Measure analysis + search times over the (m, k) grid.
 
@@ -334,10 +331,8 @@ def run_fig7(
     co-scheduled points steal cycles from each other.  The default
     ``backend=None`` goes through the cost-aware ``auto`` rule with
     :func:`point_cost_estimate_s`; the paper-sized grid estimates well
-    past the spawn-tax cutoff, so ``workers > 1`` spawns processes
-    rather than GIL-sharing threads (which would inflate the measured
-    durations).  For deliberately tiny custom grids pass ``--backend
-    process`` explicitly if timing fidelity still matters.
+    past the spawn-tax cutoff, so ``workers > 1`` spawns processes,
+    while a small grid of cheap points runs inline.
     """
     cfg = config or Fig7Config()
     est = point_cost_estimate_s(cfg)
@@ -346,7 +341,6 @@ def run_fig7(
         [(m, k, cfg) for m, k in cfg.sizes],
         workers=workers,
         backend=backend,
-        chunk_size=chunk_size,
         est_cost_s=est,
     )
     points += parallel_map(
@@ -354,7 +348,6 @@ def run_fig7(
         [(m, k, cfg) for m, k in cfg.hierarchical_sizes],
         workers=workers,
         backend=backend,
-        chunk_size=chunk_size,
         est_cost_s=est,
     )
     return Fig7Result(points=points, config=cfg)

@@ -26,9 +26,9 @@
   interrupted sweeps resume (bit-identical to the serial path for any
   backend or worker count).
 - :mod:`repro.sim.backends` — the execution backends behind the sweep:
-  serial (inline), thread (in-process pool sharing the predictor memo —
-  no spawn import cost) and process (spawn workers, optionally shipping
-  chunks of points per task).
+  serial (inline — no spawn import cost, warm predictor memo) and
+  process (spawn workers, one point per task), plus the rule that
+  picks between them and the distributed spool.
 - :mod:`repro.sim.aggregate` — the shared seed-level reduction:
   mean/std/min/max plus Student-t and nearest-rank bootstrap confidence
   intervals over every reported metric, grouped per (policy, rate).
@@ -45,7 +45,6 @@ from repro.sim.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.sim.estimators import (
     IntervalAccumulatorSet,
@@ -83,7 +82,6 @@ __all__ = [
     "parallel_map",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "AggregateConfig",
     "MetricStats",

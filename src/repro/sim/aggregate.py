@@ -57,13 +57,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    CacheCorruptionError,
-    ConfigurationError,
-    ExperimentError,
-    SweepCacheError,
-    WorkerTaskError,
-)
+from repro.errors import ExperimentError
 from repro.rng import RngRegistry
 from repro.sim.metrics import percentile
 from repro.sim.runner import PolicyResult
@@ -627,7 +621,6 @@ class SweepSummary:
         cls,
         cache,
         config: AggregateConfig = AggregateConfig(),
-        backend=None,
     ) -> "SweepSummary":
         """Reduce a cache directory using its ``manifest.json``.
 
@@ -635,27 +628,12 @@ class SweepSummary:
         accepted by its constructor).  Every point named by the
         manifest must be present and loadable; a missing point means
         the sweep never completed and aggregation would silently
-        under-count seeds, so it fails loudly instead.
-
-        ``backend`` optionally fans the point-file loads out over an
-        :class:`~repro.sim.backends.ExecutionBackend` (the thread
-        backend overlaps the JSON reads of a large cache); ``None``
-        loads inline.  The summary is identical either way — loads are
-        reassembled in manifest order before reduction.
+        under-count seeds, so it fails loudly instead.  A corrupt
+        point raises :class:`~repro.errors.CacheCorruptionError`
+        naming its file; any other load failure surfaces as itself.
         """
         from repro.sim.sweep import SweepCache
 
-        # The distributed backend ships *sweep tasks* to remote workers;
-        # it cannot run arbitrary callables like ``cache.load``, and
-        # shipping local point-file reads through a spool would be
-        # nonsense anyway.  Reject it here with the real reason instead
-        # of letting its callable-identity guard produce a confusing
-        # message mid-load.
-        if getattr(backend, "name", None) == "distributed":
-            raise ConfigurationError(
-                "the distributed backend executes sweep tasks, not cache "
-                "loads; aggregate with the serial or thread backend"
-            )
         if not isinstance(cache, SweepCache):
             cache = SweepCache(cache)
         manifest = cache.manifest()
@@ -673,48 +651,7 @@ class SweepSummary:
             for policy in manifest["spec"]["policies"]
         }
         keys = list(manifest["points"])
-        if backend is None:
-            loaded = [cache.load(key) for key in keys]
-        else:
-            try:
-                loaded = backend.map(cache.load, keys)
-            except WorkerTaskError as err:
-                # Keep this method's error contract backend-independent:
-                # a corrupt entry must surface as the named cache error,
-                # not as the backend's task wrapper.  The thread/serial
-                # backends chain the original; the process backend loses
-                # the chain to pickling, so recognise cache errors from
-                # the wrapper's "raised <Type>" message and rebuild the
-                # path from the failing index.  Anything else (e.g. a
-                # PermissionError on a point file) is *not* corruption
-                # and keeps the wrapper rather than being mislabelled.
-                cause = err.__cause__
-                if isinstance(cause, SweepCacheError):
-                    raise cause
-                # The process backend never chains the original (the
-                # executor substitutes a remote-traceback object), so
-                # recognise cache errors from the wrapper's own
-                # "raised <Type>" message.
-                names_cache_error = any(
-                    f"raised {name}" in str(err)
-                    for name in (
-                        "CacheCorruptionError",
-                        "StaleManifestError",
-                        "SweepCacheError",
-                    )
-                )
-                if not names_cache_error:
-                    raise
-                path = (
-                    cache.path_for(keys[err.index])
-                    if err.index is not None and 0 <= err.index < len(keys)
-                    else None
-                )
-                raise CacheCorruptionError(
-                    f"failed to load sweep cache entry "
-                    f"{path if path is not None else '<unknown>'}: {err}",
-                    path=path,
-                ) from err
+        loaded = [cache.load(key) for key in keys]
         missing: List[str] = []
         for key, result in zip(keys, loaded):
             coords = manifest["points"][key]

@@ -1,35 +1,24 @@
-"""Execution backends: one seam, three ways to run independent tasks.
+"""Execution backends: one seam, two local ways to run independent tasks.
 
 The sweep subsystem (:mod:`repro.sim.sweep`) evaluates grids of
-mutually independent points.  *How* those points execute — inline,
-on in-process threads, or on spawned worker processes — is a
-deployment decision, not a correctness one (every point is
-deterministic given its config), so it lives behind one interface:
+mutually independent points.  *How* those points execute — inline or
+on spawned worker processes — is a deployment decision, not a
+correctness one (every point is deterministic given its config), so it
+lives behind one interface:
 
 :class:`SerialBackend`
     Runs tasks inline, in submission order.  Zero overhead, exact
-    ground truth; what ``workers=1`` always meant.
-
-:class:`ThreadBackend`
-    A :class:`~concurrent.futures.ThreadPoolExecutor` inside the
-    calling process.  Threads share the interpreter, every imported
-    module and — crucially for sweeps — the per-process predictor
-    memo, so a grid whose points share a profiling signature trains
-    once *total* instead of once per worker.  The GIL serialises the
-    pure-Python simulation work, so threads buy little parallel
-    compute — what they buy is *zero start-up cost*: no interpreter
-    spawn, no numpy re-import, no cold memo.  On small grids that
-    start-up tax dominates, which is why the auto rule below prefers
-    threads there.
+    ground truth, and every point after the first finds the predictor
+    memo warm; what ``workers=1`` always meant.
 
 :class:`ProcessBackend`
     A spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`
-    (spawn is fork-safety: no inherited locks or numpy state).  Every
-    worker pays an interpreter + numpy import and trains its own
-    predictor memo, but workers then compute in true parallel — the
-    right trade on grids with many expensive points.  Optional
-    *chunking* ships batches of tasks per submission so the per-task
-    pickling/dispatch overhead is amortised across each chunk.
+    (spawn is fork-safety: no inherited locks or numpy state) that
+    submits one task per point.  Every worker pays an interpreter +
+    numpy import (~1.5 s) and trains its own predictor memo, but
+    workers then compute in true parallel, and one-point tasks keep the
+    pool load-balanced: a free worker always takes the next pending
+    point.
 
 :class:`~repro.sim.distributed.DistributedBackend`
     Sweep points run on worker processes on *other hosts*, coordinated
@@ -57,34 +46,31 @@ fails are allowed to finish but their results are discarded.
 
 Choosing a backend
 ------------------
-- ``serial`` — debugging, tiny grids, and anything timing-sensitive.
-- ``thread`` — small pending sets (≲ :data:`THREAD_AUTO_THRESHOLD`
-  points) of *cheap* points, resumed sweeps with a handful of missing
-  cells, and grids dominated by predictor training (the memo is
-  shared).
-- ``process`` — grids of expensive points on multi-core hosts (the
-  GIL serialises threads regardless of batch size, so point cost —
-  not count — is what matters); raise ``chunk_size`` above 1 when
-  single points are cheap relative to dispatch.
+- ``serial`` — debugging, small grids of cheap points, cache loads,
+  and anything timing-sensitive.  The points run one after another,
+  but nothing is paid to start them.
+- ``process`` — grids whose compute outweighs the per-worker spawn
+  tax on a multi-core host: expensive points, or many cheap ones.
+- ``distributed`` — expensive points and a worker fleet larger than
+  the coordinator host.
 
 :func:`auto_backend` encodes exactly that rule — **cost-aware** when
 the caller supplies an expected per-point cost (``est_cost_s``): a
-point expected to outlast the ~:data:`PROCESS_SPAWN_TAX_S` per-worker
-spawn tax routes to processes even on a tiny pending set, because
-GIL-serialised threads would run the batch at serial speed while
-spawn's start-up cost is amortised by the very first point.  Without
-an estimate the rule falls back to the pending-point count.  The same
-estimate derives an automatic ``chunk_size`` (enough points per chunk
-to amortise the spawn tax).  The sweep runner estimates cost from its
-spec — or from measured cached timings — and the CLI uses it unless a
-backend is named explicitly.
+point expected to outlast :data:`EXPENSIVE_POINT_CUTOFF_S` routes to
+processes even on a tiny pending set, because its own compute already
+amortises its worker's start-up.  Cheap or unestimated points fall
+back to the pending-point count: small sets (≤
+:data:`SERIAL_AUTO_THRESHOLD`) run inline, larger ones on processes.
+The sweep runner estimates cost from its spec — or from measured
+cached timings — and the CLI uses it unless a backend is named
+explicitly.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkerTaskError
@@ -92,11 +78,9 @@ from repro.errors import ConfigurationError, WorkerTaskError
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKEND_NAMES",
-    "THREAD_AUTO_THRESHOLD",
-    "PROCESS_SPAWN_TAX_S",
+    "SERIAL_AUTO_THRESHOLD",
     "EXPENSIVE_POINT_CUTOFF_S",
     "NETWORK_DISPATCH_TAX_S",
     "DISTRIBUTED_POINT_CUTOFF_S",
@@ -104,51 +88,47 @@ __all__ = [
     "auto_backend",
     "backend_from_name",
     "resolve_backend",
-    "cpu_bound_backend",
-    "io_bound_backend",
 ]
 
 #: The names :func:`backend_from_name` accepts (the CLI adds ``auto``).
 #: ``distributed`` additionally needs a spool directory.
-BACKEND_NAMES = ("serial", "thread", "process", "distributed")
+BACKEND_NAMES = ("serial", "process", "distributed")
 
-#: Pending sets at or below this size auto-route to :class:`ThreadBackend`
+#: Pending sets at or below this size auto-route to :class:`SerialBackend`
 #: *when no cost estimate says otherwise*: a spawn worker pays roughly an
 #: interpreter + numpy import per process, which on a small grid of cheap
 #: points costs more than it saves.
-THREAD_AUTO_THRESHOLD = 8
-
-#: Approximate per-worker start-up cost of the spawn process pool
-#: (interpreter + numpy import + cold predictor memo), in seconds —
-#: the tax the cost-aware auto rule weighs point cost against.
-PROCESS_SPAWN_TAX_S = 1.5
+SERIAL_AUTO_THRESHOLD = 8
 
 #: Expected per-point cost above which ``auto`` routes to processes
 #: regardless of the pending-point count: one such point already
-#: outlasts its worker's spawn tax, and the GIL would serialise
-#: threads on pure-compute points anyway.
+#: outlasts its worker's spawn tax (interpreter + numpy import + cold
+#: predictor memo, ~1.5 s).
 EXPENSIVE_POINT_CUTOFF_S = 2.0
 
 #: Approximate per-*job* dispatch cost of the spool protocol (encode
 #: the tasks, atomic job write, worker claim-rename, result write,
-#: coordinator poll + decode), in seconds.  Calibrated the way
-#: :data:`PROCESS_SPAWN_TAX_S` was — measured by
+#: coordinator poll + decode), in seconds.  Measured by
 #: ``benchmarks/bench_sweep_distributed.py`` and persisted to
 #: ``BENCH_sweep_distributed.json``: the raw round-trip on a local
 #: filesystem measures ~0.002 s per job, but the constant is sized for
 #: the deployment the backend exists for — spools on *network*
 #: filesystems, where each step is an NFS round-trip and the
-#: coordinator's poll cadence rides on top.  Feeds the distributed
-#: ``auto_chunk_size``.
+#: coordinator's poll cadence rides on top.  Feeds
+#: :func:`auto_chunk_size`.
 NETWORK_DISPATCH_TAX_S = 0.05
 
 #: Expected per-point cost above which ``auto`` routes to the spool
 #: when one is configured.  Deliberately the same bar as
-#: :data:`EXPENSIVE_POINT_CUTOFF_S`: a point expensive enough that
-#: spawn processes beat threads is also expensive enough to dwarf the
+#: :data:`EXPENSIVE_POINT_CUTOFF_S`: a point expensive enough to
+#: amortise a spawn worker is also expensive enough to dwarf the
 #: (much smaller) per-job dispatch tax, and cheap points are better
 #: served locally than shipped across a filesystem.
 DISTRIBUTED_POINT_CUTOFF_S = EXPENSIVE_POINT_CUTOFF_S
+
+#: The one process start method: spawn, so workers inherit no locks
+#: or numpy state from the coordinator.
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 def _wrap_failure(index: int, exc: BaseException) -> WorkerTaskError:
@@ -158,32 +138,15 @@ def _wrap_failure(index: int, exc: BaseException) -> WorkerTaskError:
     )
 
 
-def _run_unit(fn: Callable, index: int, item: Any) -> List[Tuple[int, Any]]:
-    """Run one task; uniform ``[(index, result)]`` / wrapped-failure shape."""
+def _run_unit(fn: Callable, index: int, item: Any) -> Any:
+    """Run one task, wrapping a failure with its index (module-level:
+    spawn pickles it)."""
     try:
-        return [(index, fn(item))]
+        return fn(item)
     except WorkerTaskError:
         raise
     except Exception as exc:
         raise _wrap_failure(index, exc) from exc
-
-
-def _run_chunk(payload: Tuple[Callable, List[Tuple[int, Any]]]) -> List[Tuple[int, Any]]:
-    """Run one chunk of tasks in a worker (module-level: spawn pickles it).
-
-    Results accumulate per item; the first failing item aborts the rest
-    of its chunk and raises with that item's index (the earlier items'
-    results are recomputed on retry — chunking trades that slack for
-    dispatch amortisation).
-    """
-    fn, chunk = payload
-    out: List[Tuple[int, Any]] = []
-    for index, item in chunk:
-        try:
-            out.append((index, fn(item)))
-        except Exception as exc:
-            raise _wrap_failure(index, exc) from exc
-    return out
 
 
 def chunked(items: Sequence, size: int) -> List[list]:
@@ -237,30 +200,36 @@ class SerialBackend(ExecutionBackend):
 
     def imap_unordered(self, fn, items):
         for index, item in enumerate(items):
-            yield from _run_unit(fn, index, item)
+            yield index, _run_unit(fn, index, item)
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared submit/consume loop for the executor-based backends."""
+class ProcessBackend(ExecutionBackend):
+    """Spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`
+    workers, one task per item.
+
+    ``fn`` and every item must be picklable (spawn re-imports the
+    defining module in each worker).
+    """
+
+    name = "process"
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def _executor(self, n_tasks: int):
-        raise NotImplementedError
-
-    def _submit(self, pool, fn, items) -> list:
-        """Submit every task; returns the list of futures."""
-        raise NotImplementedError
-
     def imap_unordered(self, fn, items):
         items = list(items)
         if not items:
             return
-        with self._executor(len(items)) as pool:
-            outstanding = set(self._submit(pool, fn, items))
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(items)), mp_context=_SPAWN
+        ) as pool:
+            index_of = {
+                pool.submit(_run_unit, fn, index, item): index
+                for index, item in enumerate(items)
+            }
+            outstanding = set(index_of)
             while outstanding:
                 finished, outstanding = wait(
                     outstanding, return_when=FIRST_COMPLETED
@@ -268,13 +237,13 @@ class _PoolBackend(ExecutionBackend):
                 failure = None
                 for future in finished:
                     try:
-                        pairs = future.result()
+                        result = future.result()
                     except WorkerTaskError as exc:
                         failure = failure or exc
                     except Exception as exc:  # pragma: no cover - belt
-                        failure = failure or _wrap_failure(-1, exc)
+                        failure = failure or _wrap_failure(index_of[future], exc)
                     else:
-                        yield from pairs
+                        yield index_of[future], result
                 if failure is not None:
                     # Cancel everything not yet running; peers already
                     # running finish (their results are discarded) when
@@ -284,100 +253,26 @@ class _PoolBackend(ExecutionBackend):
                     raise failure
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class ThreadBackend(_PoolBackend):
-    """In-process :class:`~concurrent.futures.ThreadPoolExecutor` workers.
-
-    Shares the interpreter (and the sweep's predictor memo) with the
-    caller: no spawn cost, no re-imports, training once per profiling
-    signature.  The GIL means little parallel *compute* — use it where
-    start-up cost dominates (small or mostly-cached grids).
-    """
-
-    name = "thread"
-
-    def _executor(self, n_tasks: int):
-        return ThreadPoolExecutor(
-            max_workers=min(self.workers, n_tasks),
-            thread_name_prefix="sweep-worker",
-        )
-
-    def _submit(self, pool, fn, items):
-        return [
-            pool.submit(_run_unit, fn, index, item)
-            for index, item in enumerate(items)
-        ]
-
-
-class ProcessBackend(_PoolBackend):
-    """Spawn-context :class:`~concurrent.futures.ProcessPoolExecutor` workers.
-
-    ``fn`` and every item must be picklable (spawn re-imports the
-    defining module in each worker).  ``chunk_size`` ships batches of
-    tasks per submission: each worker process amortises its interpreter
-    + numpy import (and its cold predictor memo) across a whole chunk
-    instead of a single point.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, workers: int, mp_context: str = "spawn", chunk_size: int = 1
-    ) -> None:
-        super().__init__(workers)
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk size must be >= 1, got {chunk_size}"
-            )
-        self.mp_context = mp_context
-        self.chunk_size = chunk_size
-
-    def _executor(self, n_tasks: int):
-        n_chunks = -(-n_tasks // self.chunk_size)  # ceil division
-        return ProcessPoolExecutor(
-            max_workers=min(self.workers, n_chunks),
-            mp_context=multiprocessing.get_context(self.mp_context),
-        )
-
-    def _submit(self, pool, fn, items):
-        return [
-            pool.submit(_run_chunk, (fn, chunk))
-            for chunk in chunked(list(enumerate(items)), self.chunk_size)
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessBackend(workers={self.workers}, "
-            f"chunk_size={self.chunk_size})"
-        )
+        return f"ProcessBackend(workers={self.workers})"
 
 
 def backend_from_name(
     name: str,
     workers: int = 1,
-    mp_context: str = "spawn",
     chunk_size: int | None = None,
     spool=None,
     wait_workers: int = 0,
 ) -> ExecutionBackend:
     """Build a backend from its CLI name.
 
-    ``chunk_size`` shapes :class:`ProcessBackend` and the distributed
-    backend (serial and thread execution have no per-dispatch cost to
-    amortise); ``spool``/``wait_workers`` configure ``distributed``
-    (a spool is required for it) and are ignored by the local names —
-    one CLI flag set covers every backend choice.
+    ``chunk_size``, ``spool`` and ``wait_workers`` configure
+    ``distributed`` (a spool is required for it) and are ignored by the
+    local names — one CLI flag set covers every backend choice.
     """
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(workers)
     if name == "process":
-        return ProcessBackend(
-            workers, mp_context=mp_context, chunk_size=chunk_size or 1
-        )
+        return ProcessBackend(workers)
     if name == "distributed":
         if spool is None:
             raise ConfigurationError(
@@ -397,43 +292,10 @@ def backend_from_name(
     )
 
 
-def cpu_bound_backend(
-    workers: int,
-    mp_context: str = "spawn",
-    chunk_size: int | None = None,
-) -> ExecutionBackend:
-    """Explicit rule for batches known to be expensive pure-Python compute.
-
-    Spawn processes when parallel, inline otherwise.  Mostly superseded
-    by the cost-aware :func:`auto_backend` (fig5/fig7 now pass their
-    cost estimates through ``auto`` instead of special-casing this);
-    kept for callers that *know* their batch is CPU-bound and have no
-    estimate to offer.
-    """
-    if workers > 1:
-        return ProcessBackend(
-            workers, mp_context=mp_context, chunk_size=chunk_size or 1
-        )
-    return SerialBackend()
-
-
-def io_bound_backend(workers: int) -> ExecutionBackend:
-    """Default rule for batches of small I/O-bound tasks.
-
-    Threads overlap the waiting without any spawn cost; a process pool
-    would pay an interpreter + numpy import per worker to read small
-    files.  The ``aggregate`` CLI uses this for cache point loads.
-    """
-    if workers > 1:
-        return ThreadBackend(workers)
-    return SerialBackend()
-
-
 def resolve_backend(
     backend,
     workers: int,
     n_tasks: int,
-    mp_context: str = "spawn",
     chunk_size: int | None = None,
     est_cost_s: float | None = None,
     spool=None,
@@ -455,7 +317,6 @@ def resolve_backend(
         return auto_backend(
             workers,
             n_tasks,
-            mp_context=mp_context,
             chunk_size=chunk_size,
             est_cost_s=est_cost_s,
             spool=spool,
@@ -464,33 +325,26 @@ def resolve_backend(
     return backend_from_name(
         backend,
         workers=workers,
-        mp_context=mp_context,
         chunk_size=chunk_size,
         spool=spool,
         wait_workers=wait_workers,
     )
 
 
-def auto_chunk_size(
-    n_tasks: int,
-    workers: int,
-    est_cost_s: float,
-    tax_s: float = PROCESS_SPAWN_TAX_S,
-) -> int:
-    """Points per task that amortise a per-dispatch tax.
+def auto_chunk_size(n_tasks: int, workers: int, est_cost_s: float) -> int:
+    """Points per spool job that amortise :data:`NETWORK_DISPATCH_TAX_S`.
 
-    Cheap points are batched until one chunk's expected compute is at
-    least ``tax_s`` (the spawn tax for process chunks, the much smaller
-    :data:`NETWORK_DISPATCH_TAX_S` for spool jobs); chunks never exceed
-    an even ``n_tasks / workers`` split (bigger chunks would idle
-    workers), and expensive points keep one-point tasks for the
-    finest-grained failure/caching behaviour.
+    Cheap points are batched until one job's expected compute is at
+    least the dispatch tax; jobs never exceed an even ``n_tasks /
+    workers`` split (bigger jobs would idle workers), and expensive
+    points keep one-point jobs for the finest-grained failure/caching
+    behaviour.
     """
     if n_tasks < 1 or workers < 1:
         raise ConfigurationError("n_tasks and workers must be >= 1")
     if est_cost_s <= 0:
         return 1
-    amortising = int(-(-tax_s // est_cost_s))  # ceil
+    amortising = int(-(-NETWORK_DISPATCH_TAX_S // est_cost_s))  # ceil
     even_split = int(-(-n_tasks // workers))
     return max(1, min(amortising, even_split))
 
@@ -498,7 +352,6 @@ def auto_chunk_size(
 def auto_backend(
     workers: int,
     n_tasks: int,
-    mp_context: str = "spawn",
     chunk_size: int | None = None,
     est_cost_s: float | None = None,
     spool=None,
@@ -509,25 +362,21 @@ def auto_backend(
     ``workers == 1`` or at most one task → :class:`SerialBackend`.
     Otherwise the rule is **cost-aware** when ``est_cost_s`` (expected
     per-task compute, seconds — from the sweep spec or measured cached
-    timings) is given: tasks expected to outlast the
-    :data:`EXPENSIVE_POINT_CUTOFF_S` ≈ spawn-tax threshold route to
-    spawn processes *whatever the count* — the GIL would serialise
-    threads on expensive pure-compute points, which is exactly the
-    small-expensive-grid trap the count-only rule used to fall into —
-    with ``chunk_size`` derived via :func:`auto_chunk_size` when not
-    set explicitly.  Cheap or unestimated tasks keep the count rule:
-    small sets (≤ :data:`THREAD_AUTO_THRESHOLD`) on in-process threads,
-    whose zero start-up cost beats spawn there; bigger sets on spawn
-    processes.
+    timings) is given: tasks expected to outlast
+    :data:`EXPENSIVE_POINT_CUTOFF_S` route to spawn processes *whatever
+    the count*, since each one amortises its worker's start-up.  Cheap
+    or unestimated tasks keep the count rule: small sets (≤
+    :data:`SERIAL_AUTO_THRESHOLD`) inline, whose zero start-up cost
+    beats spawn there; bigger sets on spawn processes.
 
     With a ``spool`` configured, points expensive enough to amortise
     the per-job dispatch tax (≥ :data:`DISTRIBUTED_POINT_CUTOFF_S`)
     route to the spool's worker fleet instead of local processes —
     the fleet's core count is unbounded where the local host's is not
-    — with a ``chunk_size`` amortising
-    :data:`NETWORK_DISPATCH_TAX_S` per job.  Cheap points never
-    travel: their dispatch tax would rival their compute, so they keep
-    the local thread/process rule even when a spool is offered.
+    — with a ``chunk_size`` from :func:`auto_chunk_size` unless one is
+    given.  Cheap points never travel: their dispatch tax would rival
+    their compute, so they keep the local rule even when a spool is
+    offered.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -545,24 +394,12 @@ def auto_backend(
         fleet = max(workers, wait_workers, 1)
         return DistributedBackend(
             spool,
-            chunk_size=chunk_size
-            or auto_chunk_size(
-                n_tasks, fleet, est_cost_s, tax_s=NETWORK_DISPATCH_TAX_S
-            ),
+            chunk_size=chunk_size or auto_chunk_size(n_tasks, fleet, est_cost_s),
             wait_workers=wait_workers,
         )
     if workers == 1 or n_tasks <= 1:
         return SerialBackend()
-    if est_cost_s is not None and est_cost_s >= EXPENSIVE_POINT_CUTOFF_S:
-        return ProcessBackend(
-            workers,
-            mp_context=mp_context,
-            chunk_size=chunk_size or auto_chunk_size(n_tasks, workers, est_cost_s),
-        )
-    if n_tasks <= THREAD_AUTO_THRESHOLD:
-        return ThreadBackend(workers)
-    if chunk_size is None and est_cost_s is not None:
-        chunk_size = auto_chunk_size(n_tasks, workers, est_cost_s)
-    return ProcessBackend(
-        workers, mp_context=mp_context, chunk_size=chunk_size or 1
-    )
+    cheap = est_cost_s is None or est_cost_s < EXPENSIVE_POINT_CUTOFF_S
+    if cheap and n_tasks <= SERIAL_AUTO_THRESHOLD:
+        return SerialBackend()
+    return ProcessBackend(workers)

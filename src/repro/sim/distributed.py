@@ -1,12 +1,12 @@
 """Distributed sweep execution over a shared spool directory.
 
-:class:`DistributedBackend` is the fourth implementation of the
-:class:`~repro.sim.backends.ExecutionBackend` seam: instead of threads
-or spawned processes, sweep points run on **worker processes that may
-live on other hosts**, coordinated through nothing but a shared
-filesystem (NFS mount, bind-mounted volume, or a local directory for
-same-host workers).  No broker, no sockets — every protocol step is an
-atomic filesystem operation, the same primitive
+:class:`DistributedBackend` is the third implementation of the
+:class:`~repro.sim.backends.ExecutionBackend` seam: instead of inline
+or on spawned local processes, sweep points run on **worker processes
+that may live on other hosts**, coordinated through nothing but a
+shared filesystem (NFS mount, bind-mounted volume, or a local
+directory for same-host workers).  No broker, no sockets — every
+protocol step is an atomic filesystem operation, the same primitive
 :class:`~repro.sim.sweep.SweepCache` already builds on.
 
 Spool layout (``SPOOL_SCHEMA_VERSION`` = 1)
@@ -629,8 +629,7 @@ def _execute_job(
     The claim heartbeat is refreshed from a daemon thread while tasks
     compute, so a long point does not look abandoned.  The first
     failing task aborts the rest of its job and reports that task's
-    index — the same chunk semantics as
-    :func:`~repro.sim.backends._run_chunk`.
+    index (the job's earlier results are recomputed on a rerun).
     """
     from repro.sim.sweep import _execute_task
 
@@ -748,8 +747,7 @@ class DistributedBackend(ExecutionBackend):
         The shared spool directory (created if missing).
     chunk_size:
         Sweep points per job file; amortises the per-job dispatch tax
-        (:data:`~repro.sim.backends.NETWORK_DISPATCH_TAX_S`) the way
-        process chunking amortises spawn.
+        (:data:`~repro.sim.backends.NETWORK_DISPATCH_TAX_S`).
     wait_workers:
         Block until this many live workers are registered before
         dispatching (0 = dispatch immediately).  Waiting longer than
@@ -831,7 +829,7 @@ class DistributedBackend(ExecutionBackend):
                 "the distributed backend ships (config, policy) sweep "
                 "tasks as JSON job files; it cannot run arbitrary "
                 f"callables (got {getattr(fn, '__name__', fn)!r}) — use "
-                "the serial/thread/process backends for generic maps"
+                "the serial/process backends for generic maps"
             )
         items = list(items)
         if not items:

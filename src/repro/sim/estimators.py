@@ -21,13 +21,9 @@ one front door, :class:`LatencyAccumulator`, with two modes:
       rounding, never sampled;
     - ``max`` tracked exactly (running maximum);
     - percentiles from a **seeded bottom-k reservoir**
-      (:class:`ReservoirSampler`) by default, or from the monitor's P²
-      marker estimator (:class:`repro.monitoring.streaming.P2Quantile`)
-      with ``engine="p2"``.  The reservoir is the default because it is
-      *mergeable* (bottom-k of a union is associative), which the
-      runner needs to combine per-interval accumulators into the run
-      summary; P² marker states cannot be merged and raise
-      :class:`~repro.errors.EstimatorError` if you try.
+      (:class:`ReservoirSampler`).  A reservoir is *mergeable*
+      (bottom-k of a union is associative), which the runner needs to
+      combine per-interval accumulators into the run summary.
 
 Error contract (documented here, enforced by
 ``tests/sim/test_estimators_properties.py``): with reservoir size k,
@@ -35,9 +31,7 @@ an estimated q-quantile is the exact nearest-rank quantile of a
 uniform-without-replacement subsample of size k, so its *rank* error is
 O(sqrt(q(1-q)/k)) — about ±0.08 percentile points at the default
 k = 16384 for p99 — and every reported value is an actually observed
-latency (the nearest-rank convention survives sampling).  The P²
-engine's error is distribution-dependent (parabolic interpolation) and
-is bounded empirically by the property suite.
+latency (the nearest-rank convention survives sampling).
 
 Reservoir sampling uses per-observation priorities drawn from the
 accumulator's own seeded generator: keep the k observations with the
@@ -55,7 +49,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import EstimatorError
-from repro.monitoring.streaming import P2Quantile, StreamingMoments
+from repro.monitoring.streaming import StreamingMoments
 from repro.sim.metrics import LatencySummary, percentile, pool, summarize
 
 __all__ = [
@@ -162,23 +156,18 @@ class LatencyAccumulator:
     mode:
         ``"exact"`` (store-everything, bit-identical to pool+summarize)
         or ``"streaming"`` (O(reservoir) memory, estimated percentiles).
-    engine:
-        Streaming percentile engine: ``"reservoir"`` (default,
-        mergeable) or ``"p2"`` (the monitor's marker estimator; not
-        mergeable).
     rng:
-        Priority stream for the reservoir (required for streaming
-        reservoir mode; take it from a named ``RngRegistry`` stream for
+        Priority stream for the reservoir (required for streaming mode;
+        take it from a named ``RngRegistry`` stream for
         reproducibility).
     reservoir_size:
-        Bottom-k capacity (streaming reservoir mode).
+        Bottom-k capacity (streaming mode).
     """
 
     def __init__(
         self,
         mode: str = "exact",
         *,
-        engine: str = "reservoir",
         rng: Optional[np.random.Generator] = None,
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
     ) -> None:
@@ -186,28 +175,18 @@ class LatencyAccumulator:
             raise EstimatorError(
                 f"mode must be 'exact' or 'streaming', got {mode!r}"
             )
-        if engine not in ("reservoir", "p2"):
-            raise EstimatorError(
-                f"engine must be 'reservoir' or 'p2', got {engine!r}"
-            )
         self.mode = mode
-        self.engine = engine
         self._batches = 0
         self._parts: List[np.ndarray] = []
         self._moments = StreamingMoments()
         self._max = -np.inf
         self._reservoir: Optional[ReservoirSampler] = None
-        self._p2: Optional[Dict[float, P2Quantile]] = None
         if mode == "streaming":
-            if engine == "reservoir":
-                if rng is None:
-                    raise EstimatorError(
-                        "streaming reservoir mode needs an rng "
-                        "(a named RngRegistry stream)"
-                    )
-                self._reservoir = ReservoirSampler(reservoir_size, rng)
-            else:
-                self._p2 = {q: P2Quantile(q / 100.0) for q in _SUMMARY_QS}
+            if rng is None:
+                raise EstimatorError(
+                    "streaming mode needs an rng (a named RngRegistry stream)"
+                )
+            self._reservoir = ReservoirSampler(reservoir_size, rng)
 
     # ------------------------------------------------------------------
     @property
@@ -249,39 +228,27 @@ class LatencyAccumulator:
             )
         self._moments.add_batch(arr)
         self._max = max(self._max, float(arr.max()))
-        if self._reservoir is not None:
-            self._reservoir.add(arr)
-        else:
-            assert self._p2 is not None
-            for est in self._p2.values():
-                est.add_many(arr)
+        self._reservoir.add(arr)
 
     def merge(self, other: "LatencyAccumulator") -> "LatencyAccumulator":
         """Fold another accumulator in (associative).
 
         Exact merges concatenate part lists; streaming merges combine
         moments (Chan), maxima, and reservoirs (bottom-k of the union).
-        P² engines refuse — marker states are not mergeable — as do
-        mixed modes/engines: silently blending an exact and an
-        estimated summary would corrupt the provenance contract.
+        Mixed modes refuse: silently blending an exact and an estimated
+        summary would corrupt the provenance contract.
         """
-        if other.mode != self.mode or other.engine != self.engine:
+        if other.mode != self.mode:
             raise EstimatorError(
-                f"cannot merge a ({self.mode}, {self.engine}) accumulator "
-                f"with a ({other.mode}, {other.engine}) one"
+                f"cannot merge a {self.mode} accumulator with a "
+                f"{other.mode} one"
             )
         if self.mode == "exact":
             self._parts.extend(other._parts)
             return self
-        if self._p2 is not None:
-            raise EstimatorError(
-                "P² marker states cannot be merged; use the reservoir "
-                "engine for mergeable streaming accumulation"
-            )
         self._batches += other._batches
         self._moments.merge(other._moments)
         self._max = max(self._max, other._max)
-        assert self._reservoir is not None and other._reservoir is not None
         self._reservoir.merge(other._reservoir)
         return self
 
@@ -299,14 +266,9 @@ class LatencyAccumulator:
                 f"cannot summarise an empty latency stream"
                 f"{f' ({label})' if label else ''}"
             )
-        if self._reservoir is not None:
-            qs = {
-                q: self._reservoir.quantile(q, label=label)
-                for q in _SUMMARY_QS
-            }
-        else:
-            assert self._p2 is not None
-            qs = {q: float(self._p2[q].estimate) for q in _SUMMARY_QS}
+        qs = {
+            q: self._reservoir.quantile(q, label=label) for q in _SUMMARY_QS
+        }
         return LatencySummary(
             n=self.n,
             mean=self._moments.mean,

@@ -742,44 +742,3 @@ class ExperimentRunner:
                 ids.extend([next_id] * group.n_replicas)
                 next_id += 1
         return np.asarray(ids, dtype=np.int64)
-
-    def _schedule_interval(
-        self,
-        cluster,
-        service,
-        monitor,
-        scheduler,
-        executor,
-        outcome,
-        classes: Optional[ResolvedClassMix] = None,
-    ) -> Set[str]:
-        """Monitor → matrix inputs → Algorithm 1 → enforcement.
-
-        Compatibility wrapper over the control-plane phases for callers
-        holding the pieces but no :class:`RunState`; the in-loop path
-        drives the same phases through the state's control loop.
-        """
-        from repro.controlplane.phases import (
-            ActuatePhase,
-            DecidePhase,
-            MonitorPhase,
-            PredictPhase,
-        )
-
-        cfg = self.config
-        service_slots = max(
-            1, cfg.machine_slots - cfg.generator.max_batch_jobs_per_node
-        )
-        snapshot = MonitorPhase(monitor, cluster, cfg.interval_s).observe(
-            0, outcome
-        )
-        inputs = PredictPhase(
-            service,
-            cluster,
-            classes,
-            cfg.interval_s,
-            service_slots,
-            self._global_group_ids(service),
-        ).inputs(snapshot)
-        decision = DecidePhase(scheduler).decide(inputs)
-        return ActuatePhase(executor).apply(decision)

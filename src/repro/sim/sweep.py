@@ -9,10 +9,10 @@ into wall-clock speed and resumability:
 - :class:`SweepSpec` names a grid (a base :class:`RunnerConfig` plus
   the policies, arrival rates and seeds to cross);
 - :class:`ParallelSweepRunner` fans the grid points out over an
-  :class:`~repro.sim.backends.ExecutionBackend` — inline, in-process
-  threads, or spawn processes (spawn-safe: the worker function is a
-  module-level callable and every argument is a picklable frozen
-  dataclass) — with per-point deterministic seeding via
+  :class:`~repro.sim.backends.ExecutionBackend` — inline, spawn
+  processes (spawn-safe: the worker function is a module-level
+  callable and every argument is a picklable frozen dataclass) or a
+  distributed spool — with per-point deterministic seeding via
   :class:`~repro.rng.RngRegistry` — **results are bit-identical to the
   serial path regardless of backend, worker count or completion
   order**;
@@ -31,8 +31,9 @@ evaluating in another (or retraining per point) cannot change any
 number.  Workers additionally memoize the trained predictor per
 profiling signature, so evaluating six policies at one seed trains
 once — exactly like the serial :class:`ExperimentRunner` sharing.
-The memo is lock-protected and train-once-per-signature, so thread
-workers share a single training run instead of racing to duplicate it.
+The memo is lock-protected and train-once-per-signature, so sweeps
+that ``repro serve`` runs on daemon threads share a single training
+run instead of racing to duplicate it.
 
 Choosing an execution backend
 -----------------------------
@@ -40,21 +41,18 @@ Choosing an execution backend
 how pending points execute; results are identical for every choice.
 
 ``serial``
-    Inline in the calling thread.  What ``workers=1`` always meant;
-    also the right pick for timing-sensitive runs.
-``thread``
-    An in-process thread pool.  No interpreter spawn, no numpy
-    re-import, and the predictor memo is shared — a grid whose points
-    share a profiling signature trains once *total*.  The GIL
-    serialises the simulation compute, so threads win exactly where
-    start-up cost dominates: small grids (≲ 8 points) and resumed
-    sweeps with a handful of missing cells.
+    Inline in the calling thread.  No interpreter spawn, no numpy
+    re-import, and the predictor memo is warm — a grid whose points
+    share a profiling signature trains once *total*.  What
+    ``workers=1`` always meant; the right pick where start-up cost
+    dominates (small grids, resumed sweeps with a handful of missing
+    cells) and for timing-sensitive runs.
 ``process``
-    Spawn-context process workers: each pays an interpreter + numpy
-    import and a cold predictor memo, then computes in true parallel —
-    the right trade for many expensive points on multi-core hosts.
-    ``chunk_size=k`` (CLI ``--chunk-size``) ships batches of ``k``
-    points per task so that start-up cost is amortised per chunk.
+    Spawn-context process workers, one point per task: each worker
+    pays an interpreter + numpy import and a cold predictor memo, then
+    computes in true parallel, taking the next pending point whenever
+    it finishes one — the right trade for expensive points or large
+    grids on multi-core hosts.
 ``distributed``
     Points run on worker processes pulled from a shared spool
     directory (CLI ``--spool DIR``; start workers with ``python -m
@@ -63,23 +61,22 @@ how pending points execute; results are identical for every choice.
     protocol.  It beats ``process`` when the fleet has more cores than
     the coordinator and points are expensive enough to amortise the
     per-job dispatch tax (~:data:`repro.sim.backends.
-    NETWORK_DISPATCH_TAX_S` per job); ``auto`` applies exactly that
-    rule when a spool is configured.  Resume interacts with the spool
-    only through this cache: workers never touch ``SweepCache`` —
-    results travel back through the spool and the **coordinator**
-    persists them — so an interrupted distributed sweep resumes from
-    the same cache files as any other backend, and stale spool
-    artifacts are mere garbage (reaped by :meth:`SweepCache.gc`
-    ``spool=``), never stale results.
+    NETWORK_DISPATCH_TAX_S` per job; ``chunk_size=k``, CLI
+    ``--chunk-size``, ships ``k`` points per job); ``auto`` applies
+    exactly that rule when a spool is configured.  Resume interacts
+    with the spool only through this cache: workers never touch
+    ``SweepCache`` — results travel back through the spool and the
+    **coordinator** persists them — so an interrupted distributed
+    sweep resumes from the same cache files as any other backend, and
+    stale spool artifacts are mere garbage (reaped by
+    :meth:`SweepCache.gc` ``spool=``), never stale results.
 
 The default (``backend=None`` / CLI ``auto``) applies exactly that
 guidance, **cost-aware**: serial for one worker or one pending point;
 processes whenever the expected per-point cost exceeds the ~1–2 s
 per-worker spawn tax (:data:`repro.sim.backends.
-EXPENSIVE_POINT_CUTOFF_S`) — a small grid of expensive points must
-not run on GIL-serialised threads — with an automatic ``chunk_size``
-derived from the same estimate; otherwise threads for small pending
-sets and processes for large ones
+EXPENSIVE_POINT_CUTOFF_S`); otherwise serial for small pending sets
+and processes for large ones
 (:func:`repro.sim.backends.auto_backend`).  The per-point cost is
 estimated from the spec via :func:`estimated_point_cost_s`
 (``n_intervals × interval_s × n_nodes`` simulated node-seconds times
@@ -783,18 +780,18 @@ class SweepCache:
 # worker side (must be module-level and picklable for spawn)
 # ----------------------------------------------------------------------
 #: Per-process memo of trained predictors, keyed by profiling signature.
-#: Shared by every thread of the process (thread-backend workers and
-#: the inline path alike) behind :data:`_PREDICTOR_MEMO_LOCK`;
-#: evaluating many policies that share a seed trains once per process
-#: instead of once per point.  Bounded (FIFO) because on the serial
-#: and thread paths it lives in the caller's process for the
-#: interpreter's lifetime.
+#: Shared by every thread of the process (the inline path and the
+#: sweeps ``repro serve`` runs on daemon threads alike) behind
+#: :data:`_PREDICTOR_MEMO_LOCK`; evaluating many policies that share a
+#: seed trains once per process instead of once per point.  Bounded
+#: (FIFO) because on the serial path it lives in the caller's process
+#: for the interpreter's lifetime.
 _PREDICTOR_MEMO: Dict[tuple, object] = {}
 _PREDICTOR_MEMO_LIMIT = 8
 _PREDICTOR_MEMO_LOCK = threading.Lock()
-#: One lock per profiling signature so concurrent thread workers
-#: needing the same predictor train it once and share it, while
-#: points with *different* signatures keep running unserialised.
+#: One lock per profiling signature so concurrent sweeps needing the
+#: same predictor train it once and share it, while points with
+#: *different* signatures keep running unserialised.
 _PREDICTOR_TRAIN_LOCKS: Dict[tuple, threading.Lock] = {}
 
 
@@ -838,7 +835,7 @@ def _trained_for(config: RunnerConfig, policy: Policy):
     baselines, the oracle ablation) skip training entirely — exactly
     as :meth:`ExperimentRunner.setup` would.  For the rest, the
     per-signature lock makes training happen once per process even
-    when thread workers hit a cold memo simultaneously; training is
+    when concurrent sweeps hit a cold memo simultaneously; training is
     deterministic given the signature (it draws only from
     ``RngRegistry(seed)``'s ``"profiling"`` stream), so who trains
     cannot change any number.
@@ -880,22 +877,18 @@ def parallel_map(
     fn: Callable,
     items: Sequence,
     workers: int = 1,
-    mp_context: str = "spawn",
     backend: Union[str, ExecutionBackend, None] = None,
-    chunk_size: Optional[int] = None,
     est_cost_s: Optional[float] = None,
 ) -> list:
     """Order-preserving map over an execution backend.
 
     ``backend`` is an :class:`~repro.sim.backends.ExecutionBackend`, a
-    name (``serial``/``thread``/``process``), or ``None``/``"auto"``
-    for the default rule: inline for ``workers=1`` or ≤ 1 items,
-    spawn processes when ``est_cost_s`` (the caller's expected
-    per-item compute) marks the items expensive, in-process threads
-    for small cheap batches, spawn processes otherwise.  For the
-    process backend ``fn`` must be a module-level function and every
-    item picklable (spawn re-imports the module in each worker);
-    ``chunk_size`` ships batches of items per process task.
+    name (``serial``/``process``), or ``None``/``"auto"`` for the
+    default rule: spawn processes when ``est_cost_s`` (the caller's
+    expected per-item compute) marks the items expensive or the batch
+    is large, inline otherwise.  For the process backend ``fn`` must be
+    a module-level function and every item picklable (spawn re-imports
+    the module in each worker).
 
     Failure contract (uniform across backends, including serial): a
     raising ``fn`` surfaces as :class:`~repro.errors.WorkerTaskError`
@@ -904,18 +897,9 @@ def parallel_map(
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk size must be >= 1, got {chunk_size}"
-        )
     items = list(items)
     resolved = resolve_backend(
-        backend,
-        workers,
-        len(items),
-        mp_context=mp_context,
-        chunk_size=chunk_size,
-        est_cost_s=est_cost_s,
+        backend, workers, len(items), est_cost_s=est_cost_s
     )
     return resolved.map(fn, items)
 
@@ -1049,7 +1033,7 @@ class ParallelSweepRunner:
     spec:
         The grid to run.
     workers:
-        Worker count for the thread/process backends.  ``1`` (default)
+        Worker count for the process backend.  ``1`` (default)
         runs everything inline in this process — the exact serial path.
         Results are identical for every worker count (see the module
         docstring's determinism contract).
@@ -1063,15 +1047,15 @@ class ParallelSweepRunner:
     backend:
         How pending points execute: an
         :class:`~repro.sim.backends.ExecutionBackend`, a name
-        (``serial``/``thread``/``process``), or ``None``/``"auto"``
+        (``serial``/``process``/``distributed``), or ``None``/``"auto"``
         (default) for the rule in the module docstring's *Choosing an
-        execution backend* section — serial for one worker or one
-        pending point, threads for small pending sets, spawn processes
-        otherwise.  Bit-identical results for every choice.
+        execution backend* section — serial for one worker or a small
+        set of cheap pending points, spawn processes otherwise.
+        Bit-identical results for every choice.
     chunk_size:
-        Points shipped per process task (process backend only), so a
-        spawn worker amortises its interpreter + numpy import over a
-        whole chunk.  Default: one point per task.
+        Distributed only: points shipped per spool job, amortising the
+        per-job dispatch tax.  Default: derived by ``auto``, one point
+        per job for an explicit ``"distributed"``.
     spool:
         Shared spool directory for the distributed backend (required
         with ``backend="distributed"``; offered to ``auto``, which
@@ -1087,7 +1071,6 @@ class ParallelSweepRunner:
         workers: int = 1,
         cache: Union[SweepCache, str, Path, None] = None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
-        mp_context: str = "spawn",
         backend: Union[str, ExecutionBackend, None] = None,
         chunk_size: Optional[int] = None,
         spool: Union[str, Path, None] = None,
@@ -1123,7 +1106,6 @@ class ParallelSweepRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self.progress = progress
-        self.mp_context = mp_context
         self.backend = backend
         self.chunk_size = chunk_size
         self.spool = spool
@@ -1181,7 +1163,6 @@ class ParallelSweepRunner:
             self.backend,
             self.workers,
             n_pending,
-            mp_context=self.mp_context,
             chunk_size=self.chunk_size,
             est_cost_s=self._estimate_point_cost(cached),
             spool=self.spool,
@@ -1212,14 +1193,13 @@ class ParallelSweepRunner:
             else:
                 pending.append((point, config, key))
 
-        # The backend seam: auto picks serial for one worker or one
-        # pending point (a spawn worker would pay an interpreter +
-        # numpy import and a cold predictor memo for nothing),
-        # processes when the estimated per-point cost outweighs the
-        # spawn tax (measured cache-hit timings when resuming, the
-        # spec-based estimate otherwise), threads for small cheap
-        # pending sets, processes for large ones; an explicit backend
-        # is honoured as given.
+        # The backend seam: auto picks serial for one worker or a small
+        # set of cheap pending points (a spawn worker would pay an
+        # interpreter + numpy import and a cold predictor memo for
+        # nothing), processes when the estimated per-point cost
+        # outweighs the spawn tax (measured cache-hit timings when
+        # resuming, the spec-based estimate otherwise) or the pending
+        # set is large; an explicit backend is honoured as given.
         if pending:
             backend = self._resolve_backend(len(pending), results.values())
             tasks = [(config, point.policy) for point, config, key in pending]

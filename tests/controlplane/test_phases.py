@@ -16,6 +16,7 @@ from repro.controlplane.phases import (
 from repro.errors import ControlPlaneError
 from repro.experiments.fig6 import paper_pcs_policy
 from repro.scenarios import get_scenario
+from repro.scheduler.pcs import PCSScheduler
 from repro.sim.runner import ExperimentRunner
 
 
@@ -78,6 +79,48 @@ class TestPredictPhase:
         assert inputs.arrival_rates.shape == (n,)
         assert (inputs.arrival_rates >= 0).all()
         assert inputs.node_totals.shape == snap.node_totals.shape
+
+    def test_overfull_node_keeps_its_count_as_limit(self, pcs_world):
+        # A starting placement may put more components on a node than
+        # service_slots allows.  That node's limit is its current count
+        # (so it takes no new component), every other node keeps
+        # service_slots, and a PCS decision never grows the full node.
+        runner, state, loop, outcome = pcs_world
+        counts = np.bincount(
+            state.cluster.placement_indices(state.service.components),
+            minlength=len(state.cluster),
+        )
+        full = int(np.argmax(counts))
+        slots = int(np.sort(counts)[-2])
+        assert counts[full] > slots  # exactly one node is over the limit
+        phase = PredictPhase(
+            state.service, state.cluster, state.classes,
+            runner.config.interval_s, slots, loop.predict.group_ids,
+        )
+        inputs = phase.inputs(loop.monitor.observe(0, outcome))
+        assert inputs.node_limits[full] == counts[full]
+        others = np.arange(len(state.cluster)) != full
+        assert (inputs.node_limits[others] == slots).all()
+        decision = PCSScheduler(
+            state.scheduler.predictor, paper_pcs_policy().scheduler_config
+        ).schedule(inputs)
+        assert np.sum(decision.assignment == full) <= counts[full]
+        assert (
+            np.bincount(decision.assignment, minlength=len(state.cluster))
+            <= inputs.node_limits
+        ).all()
+
+    def test_overfull_starting_placement_runs_end_to_end(self, capsys):
+        # Regression: this seed's random placement fills a node past
+        # service_slots, which used to abort the PCS run in its first
+        # decision with "current assignment already exceeds node_limits".
+        from repro.cli import main
+
+        assert main(
+            ["quick", "--scenario", "fanout-feed", "--seed", "2404",
+             "--rate", "40"]
+        ) == 0
+        assert "PCS" in capsys.readouterr().out
 
     def test_retrain_disabled_in_replay(self, pcs_world):
         _, _, loop, _ = pcs_world

@@ -381,8 +381,8 @@ class TestWorkerLoop:
         assert result["status"] == "error"
         assert result["index"] == 0
         assert "deliberate spool-point failure" in result["error"]
-        # First failure aborts the rest of the chunk (_run_chunk
-        # semantics): no partial results ride along.
+        # First failure aborts the rest of the job: no partial
+        # results ride along.
         assert "results" not in result
 
 
@@ -573,19 +573,6 @@ class TestRoutingAndWiring:
             ).name
             != "distributed"
         )
-
-    def test_aggregate_rejects_distributed_backend(self, tmp_path):
-        from repro.sim.aggregate import SweepSummary
-
-        spec = _tiny_spec(
-            policies=(BasicPolicy(),), arrival_rates=(30.0,), seeds=(0,)
-        )
-        cache = SweepCache(tmp_path / "cache")
-        ParallelSweepRunner(spec, cache=cache, backend="serial").run()
-        with pytest.raises(ConfigurationError, match="cache"):
-            SweepSummary.from_cache(
-                cache, backend=DistributedBackend(tmp_path / "spool")
-            )
 
 
 class TestWorkerCLI:

@@ -103,7 +103,7 @@ class TestEstimatorErrorContract:
         # P² is distribution-dependent (parabolic markers); its rank
         # error on these shapes is bounded empirically at 2 percentile
         # points — far looser than the reservoir, which is why the
-        # reservoir is the default engine.
+        # streaming accumulator uses the reservoir.
         assert _rank_error(sample, float(est.estimate), q) <= 0.02
 
     @pytest.mark.parametrize("dist", POPULATIONS)
@@ -355,10 +355,6 @@ class TestMisuse:
         with pytest.raises(EstimatorError):
             LatencyAccumulator("approximate")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(EstimatorError):
-            LatencyAccumulator("streaming", engine="tdigest")
-
     def test_streaming_reservoir_needs_rng(self):
         with pytest.raises(EstimatorError):
             LatencyAccumulator("streaming")
@@ -368,14 +364,6 @@ class TestMisuse:
         stream = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
         with pytest.raises(EstimatorError):
             exact.merge(stream)
-
-    def test_p2_merge_rejected(self):
-        a = LatencyAccumulator("streaming", engine="p2")
-        b = LatencyAccumulator("streaming", engine="p2")
-        a.add([1.0])
-        b.add([2.0])
-        with pytest.raises(EstimatorError):
-            a.merge(b)
 
     def test_capacity_mismatch_merge_rejected(self):
         rng = np.random.default_rng(0)

@@ -22,7 +22,7 @@ from repro.errors import (
     SweepLookupError,
 )
 from repro.service.nutch import NutchConfig
-from repro.sim.backends import SerialBackend, ThreadBackend
+from repro.sim.backends import ProcessBackend, SerialBackend
 from repro.sim.metrics import LatencySummary
 from repro.sim.runner import ExperimentRunner, PolicyResult, RunnerConfig
 from repro.sim.sweep import (
@@ -392,29 +392,15 @@ class TestParallelExecution:
         with pytest.raises(ConfigurationError, match="ssh"):
             ParallelSweepRunner(_tiny_spec(), workers=2, backend="ssh")
 
-    def test_thread_backend_matches_serial_bit_for_bit(self):
+    def test_process_backend_instance_matches_serial_bit_for_bit(self):
         spec = _tiny_spec(arrival_rates=(40.0,), seeds=(0,))
         serial = ParallelSweepRunner(spec, workers=1).run()
-        threaded = ParallelSweepRunner(
-            spec, workers=2, backend="thread"
-        ).run()
+        spawned = ParallelSweepRunner(spec, backend=ProcessBackend(2)).run()
         for point in spec.points():
             assert (
-                threaded.results[point].metrics_dict()
+                spawned.results[point].metrics_dict()
                 == serial.results[point].metrics_dict()
             ), point.describe()
-
-    def test_backend_instance_accepted(self):
-        spec = _tiny_spec(
-            policies=(BasicPolicy(),), arrival_rates=(40.0,), seeds=(0,)
-        )
-        direct = ParallelSweepRunner(spec, backend=SerialBackend()).run()
-        threaded = ParallelSweepRunner(spec, backend=ThreadBackend(2)).run()
-        point = spec.points()[0]
-        assert (
-            direct.results[point].metrics_dict()
-            == threaded.results[point].metrics_dict()
-        )
 
 
 class TestWorkerValidationCLI:
@@ -440,16 +426,15 @@ class TestWorkerValidationCLI:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["sweep", "--workers", "3", "--backend", "thread",
+            ["sweep", "--workers", "3", "--backend", "process",
              "--chunk-size", "2"]
         )
-        assert (args.workers, args.backend, args.chunk_size) == (3, "thread", 2)
+        assert (args.workers, args.backend, args.chunk_size) == (3, "process", 2)
 
     def test_fig5_fig7_default_backend_is_driver_resolved(self):
-        # fig5/fig7 points are expensive or timing-sensitive: their
-        # drivers resolve the default to process workers instead of the
-        # small-batch thread auto-rule, so the parser must hand them
-        # None (sweep/fig6 keep the literal "auto").
+        # fig5/fig7 drivers resolve the default themselves, from their
+        # own cost estimates, so the parser must hand them None
+        # (sweep/fig6 keep the literal "auto").
         from repro.cli import build_parser
 
         assert build_parser().parse_args(["fig5"]).backend is None
@@ -470,7 +455,7 @@ class TestFailureHardening:
             **overrides,
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failure_raises_named_error_with_coordinates(
         self, backend, tmp_path
     ):
@@ -542,17 +527,13 @@ class TestParallelMap:
             parallel_map(_square, [1], workers=0)
 
     def test_multi_worker_path_preserves_order(self):
-        # Three items auto-route to the thread backend (small batch).
+        # Three items auto-route to the serial backend (small batch).
         assert parallel_map(_square, [3, 1, 2], workers=2) == [9, 1, 4]
 
     def test_explicit_process_backend_preserves_order(self):
         assert parallel_map(
-            _square, [3, 1, 2], workers=2, backend="process", chunk_size=2
+            _square, [3, 1, 2], workers=2, backend="process"
         ) == [9, 1, 4]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(_square, [1, 2], workers=2, chunk_size=0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -607,7 +588,6 @@ class TestCostAwareBackendSelection:
         )
 
     def test_small_expensive_grid_auto_selects_process(self):
-        from repro.sim.backends import ProcessBackend
         from repro.sim.sweep import estimated_point_cost_s
 
         spec = self._expensive_spec()
@@ -617,16 +597,16 @@ class TestCostAwareBackendSelection:
         assert isinstance(backend, ProcessBackend)
         assert estimated_point_cost_s(spec.base) >= 2.0
 
-    def test_small_cheap_grid_still_auto_selects_threads(self):
+    def test_small_cheap_grid_auto_selects_serial(self):
         spec = _tiny_spec(seeds=(0,))  # 4 cheap points
         runner = ParallelSweepRunner(spec, workers=4)
-        assert runner._resolve_backend(spec.n_points, []).name == "thread"
+        assert runner._resolve_backend(spec.n_points, []).name == "serial"
 
     def test_explicit_backend_still_wins(self):
         runner = ParallelSweepRunner(
-            self._expensive_spec(), workers=4, backend="thread"
+            self._expensive_spec(), workers=4, backend="serial"
         )
-        assert runner._resolve_backend(4, []).name == "thread"
+        assert runner._resolve_backend(4, []).name == "serial"
 
     def test_measured_cache_timings_override_spec_estimate(self):
         """On a resumed sweep the cache hits carry measured wall-clock;

@@ -250,47 +250,25 @@ class TestCorruptionAndAtomicity:
             cache.load(key)
         assert str(path) in str(err.value)
 
-    def test_backend_loads_keep_corruption_error_contract(self, run_cache):
-        # from_cache's documented error contract must hold whatever
-        # loads the points: a corrupt entry surfaces as the named cache
-        # error (with .path), not as the backend's task wrapper.
+    def test_from_cache_keeps_corruption_error_contract(self, run_cache):
+        # from_cache's documented error contract: a corrupt entry
+        # surfaces as the named cache error, with .path.
         from repro.sim.aggregate import SweepSummary
-        from repro.sim.backends import ThreadBackend
 
         spec, cache, _ = run_cache
         key = next(iter(spec.point_keys()))
         cache.path_for(key).write_text("{not json")
         with pytest.raises(CacheCorruptionError) as err:
-            SweepSummary.from_cache(cache, backend=ThreadBackend(2))
+            SweepSummary.from_cache(cache)
         assert err.value.path == cache.path_for(key)
 
-    @pytest.mark.tier2
-    def test_process_backend_loads_keep_corruption_error_contract(
-        self, run_cache
-    ):
-        # The process pool substitutes a remote-traceback object for
-        # the original cause, so the contract must survive without the
-        # exception chain (regression: the rebuild path used to key on
-        # ``__cause__ is None`` and was unreachable for spawn workers).
-        from repro.sim.aggregate import SweepSummary
-        from repro.sim.backends import ProcessBackend
-
-        spec, cache, _ = run_cache
-        key = next(iter(spec.point_keys()))
-        cache.path_for(key).write_text("{not json")
-        with pytest.raises(CacheCorruptionError) as err:
-            SweepSummary.from_cache(cache, backend=ProcessBackend(2))
-        assert err.value.path == cache.path_for(key)
-
-    def test_backend_loads_do_not_mislabel_other_errors(
+    def test_from_cache_does_not_mislabel_other_errors(
         self, run_cache, monkeypatch
     ):
         # A permissions problem (or any non-cache failure) on a point
-        # file is not corruption: the backend wrapper must surface, not
-        # a CacheCorruptionError claiming external damage.
-        from repro.errors import WorkerTaskError
+        # file is not corruption: it surfaces as itself, not as a
+        # CacheCorruptionError claiming external damage.
         from repro.sim.aggregate import SweepSummary
-        from repro.sim.backends import ThreadBackend
 
         _, cache, _ = run_cache
 
@@ -298,10 +276,9 @@ class TestCorruptionAndAtomicity:
             raise PermissionError(f"denied: {key}")
 
         monkeypatch.setattr(type(cache), "load", denied)
-        with pytest.raises(WorkerTaskError) as err:
-            SweepSummary.from_cache(cache, backend=ThreadBackend(2))
+        with pytest.raises(PermissionError) as err:
+            SweepSummary.from_cache(cache)
         assert not isinstance(err.value, CacheCorruptionError)
-        assert isinstance(err.value.__cause__, PermissionError)
 
     def test_undecodable_result_payload_raises_named_error(self, run_cache):
         spec, cache, _ = run_cache
@@ -351,9 +328,9 @@ class TestCorruptionAndAtomicity:
 
 @pytest.mark.tier2
 class TestCrossBackendIdentity:
-    """Serial, thread and process execution (chunked or not) and the
-    aggregate path must agree bit-for-bit — the sweep subsystem's core
-    contract, whatever runs the points."""
+    """Serial, process and distributed execution and the aggregate
+    path must agree bit-for-bit — the sweep subsystem's core contract,
+    whatever runs the points."""
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -368,25 +345,15 @@ class TestCrossBackendIdentity:
         return ParallelSweepRunner(grid, workers=1, backend="serial").run()
 
     @pytest.mark.parametrize(
-        "backend,workers,chunk_size",
-        [
-            ("thread", 2, None),
-            ("thread", 4, None),
-            ("process", 2, None),
-            ("process", 4, None),
-            ("process", 2, 2),  # chunked: batches of points per task
-        ],
-        ids=["thread-2", "thread-4", "process-2", "process-4", "process-chunked"],
+        "backend,workers",
+        [("process", 2), ("process", 4)],
+        ids=["process-2", "process-4"],
     )
     def test_backends_bit_identical(
-        self, grid, serial, backend, workers, chunk_size, tmp_path
+        self, grid, serial, backend, workers, tmp_path
     ):
         parallel = ParallelSweepRunner(
-            grid,
-            workers=workers,
-            cache=tmp_path,
-            backend=backend,
-            chunk_size=chunk_size,
+            grid, workers=workers, cache=tmp_path, backend=backend
         ).run()
         for point in grid.points():
             assert (
@@ -417,8 +384,7 @@ class TestCrossBackendIdentity:
         ).run()
 
     @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 2)],
-        ids=["thread-2", "process-2"],
+        "backend,workers", [("process", 2)], ids=["process-2"]
     )
     def test_request_chunking_axis_bit_identical(
         self, streamed_grid, streamed_serial, backend, workers
@@ -460,17 +426,6 @@ class TestCrossBackendIdentity:
             assert (
                 chunked_metrics == serial.results[point].metrics_dict()
             ), point.describe()
-
-    def test_parallel_cache_load_identical(self, grid, serial, tmp_path):
-        from repro.sim.backends import ThreadBackend
-
-        ParallelSweepRunner(grid, workers=1, cache=tmp_path).run()
-        assert (
-            SweepSummary.from_cache(
-                SweepCache(tmp_path), backend=ThreadBackend(4)
-            ).to_dict()
-            == serial.summary().to_dict()
-        )
 
     def test_distributed_bit_identical(self, grid, serial, tmp_path):
         # The spool axis: a coordinator plus two out-of-process
