@@ -110,6 +110,24 @@ class TestPredictPhase:
             <= inputs.node_limits
         ).all()
 
+    def test_limits_are_service_slots_without_an_overfull_node(
+        self, pcs_world
+    ):
+        # Where no node starts past service_slots, every limit stays
+        # service_slots: the over-full rule changes no other decision.
+        runner, state, loop, outcome = pcs_world
+        counts = np.bincount(
+            state.cluster.placement_indices(state.service.components),
+            minlength=len(state.cluster),
+        )
+        slots = int(counts.max())
+        phase = PredictPhase(
+            state.service, state.cluster, state.classes,
+            runner.config.interval_s, slots, loop.predict.group_ids,
+        )
+        inputs = phase.inputs(loop.monitor.observe(0, outcome))
+        assert (inputs.node_limits == slots).all()
+
     def test_overfull_starting_placement_runs_end_to_end(self, capsys):
         # Regression: this seed's random placement fills a node past
         # service_slots, which used to abort the PCS run in its first

@@ -66,6 +66,11 @@ class TestProcessBackend:
         with pytest.raises(ConfigurationError):
             ProcessBackend(0)
 
+    def test_empty_input_starts_no_pool(self):
+        # No items, no spawn: the pool is only built for real work.
+        assert ProcessBackend(2).map(_square, []) == []
+        assert list(ProcessBackend(2).imap_unordered(_square, [])) == []
+
 
 @pytest.mark.tier2
 class TestProcessBackendFailure:
@@ -116,6 +121,13 @@ class TestFactories:
         with pytest.raises(ConfigurationError, match="serial, process"):
             backend_from_name("ssh", workers=2)
 
+    def test_thread_is_not_a_backend(self):
+        assert "thread" not in BACKEND_NAMES
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            backend_from_name("thread", workers=2)
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            resolve_backend("thread", workers=2, n_tasks=4)
+
     def test_auto_rule(self):
         assert auto_backend(1, 100).name == "serial"
         assert auto_backend(4, 1).name == "serial"
@@ -157,6 +169,20 @@ class TestCostAwareAuto:
         backend = auto_backend(4, 40, est_cost_s=0.1)
         assert isinstance(backend, ProcessBackend)
         assert repr(backend) == "ProcessBackend(workers=4)"
+
+    def test_explicit_chunk_size_wins_over_auto(self, tmp_path):
+        # chunk_size only shapes spool jobs: with a spool, an explicit
+        # size beats auto_chunk_size; local processes always take one
+        # point per task.
+        expensive = EXPENSIVE_POINT_CUTOFF_S * 2
+        spooled = auto_backend(
+            4, 40, chunk_size=7, est_cost_s=expensive, spool=tmp_path
+        )
+        assert spooled.name == "distributed"
+        assert spooled.chunk_size == 7
+        assert auto_chunk_size(40, 4, expensive) == 1
+        local = auto_backend(4, 40, chunk_size=7, est_cost_s=expensive)
+        assert repr(local) == "ProcessBackend(workers=4)"
 
     def test_no_estimate_keeps_count_rule(self):
         assert auto_backend(4, SERIAL_AUTO_THRESHOLD).name == "serial"

@@ -402,6 +402,18 @@ class TestParallelExecution:
                 == serial.results[point].metrics_dict()
             ), point.describe()
 
+    def test_backend_instance_accepted(self):
+        spec = _tiny_spec(
+            policies=(BasicPolicy(),), arrival_rates=(40.0,), seeds=(0,)
+        )
+        named = ParallelSweepRunner(spec, backend="serial").run()
+        direct = ParallelSweepRunner(spec, backend=SerialBackend()).run()
+        point = spec.points()[0]
+        assert (
+            direct.results[point].metrics_dict()
+            == named.results[point].metrics_dict()
+        )
+
 
 class TestWorkerValidationCLI:
     """CLI arg-parser side of the workers/chunk-size validation."""
@@ -430,6 +442,43 @@ class TestWorkerValidationCLI:
              "--chunk-size", "2"]
         )
         assert (args.workers, args.backend, args.chunk_size) == (3, "process", 2)
+
+    @pytest.mark.parametrize("command", ["sweep", "fig5", "fig6", "fig7"])
+    def test_thread_backend_is_a_usage_error(self, command, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fig5", "fig6", "fig7"])
+    def test_chunk_size_is_sweep_only(self, command, capsys):
+        # Chunks size spool jobs, and only sweep reaches the spool.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--chunk-size", "2"])
+        assert exit_info.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--workers", "2"), ("--backend", "serial"), ("--chunk-size", "2")],
+        ids=["--workers", "--backend", "--chunk-size"],
+    )
+    def test_aggregate_takes_no_execution_flags(self, flag, value, capsys):
+        # aggregate loads cache points inline; it has nothing to fan out.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["aggregate", "--cache-dir", "c", flag, value]
+            )
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in (
+            capsys.readouterr().err
+        )
 
     def test_fig5_fig7_default_backend_is_driver_resolved(self):
         # fig5/fig7 drivers resolve the default themselves, from their
