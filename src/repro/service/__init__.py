@@ -20,7 +20,6 @@ the general shape:
 
 from repro.service.component import Component, ComponentClass
 from repro.service.nutch import NutchConfig, build_nutch_service
-from repro.service.request import Request, SubRequestOutcome
 from repro.service.service import OnlineService
 from repro.service.topology import ReplicaGroup, ServiceTopology, Stage
 
@@ -31,8 +30,6 @@ __all__ = [
     "Stage",
     "ServiceTopology",
     "OnlineService",
-    "Request",
-    "SubRequestOutcome",
     "NutchConfig",
     "build_nutch_service",
 ]
