@@ -17,9 +17,8 @@ Subcommands regenerate the paper's evaluation artifacts:
   a joint table of paired per-seed differences over the shared
   (policy, rate) cells (identical seed sets required);
 - ``worker`` — a distributed sweep worker: claims job files from a
-  shared ``--spool``-style directory and executes them until the
-  spool's stop sentinel appears (``repro worker SPOOL --stop`` writes
-  it); the same loop as ``python -m repro.worker``;
+  shared spool directory and executes them until the spool's stop
+  sentinel appears (``repro worker SPOOL --stop`` writes it);
 - ``scenarios`` — the registered workload-scenario catalog
   (:mod:`repro.scenarios`), with live topology summaries.
 
@@ -30,12 +29,12 @@ independent points out over spawn processes and ``--backend
 ``auto`` runs small sets of cheap points inline, which skips the
 per-spawn interpreter + numpy import, and expensive points or large
 sets on spawn processes, one point per task).  ``sweep`` additionally
-accepts ``--backend distributed --spool DIR [--wait-workers N]
-[--chunk-size K]`` to fan points out over spool workers on any hosts
-sharing DIR, ``K`` points per job (:mod:`repro.sim.distributed`;
-bit-identical results), and ``auto`` with a ``--spool`` routes
-expensive grids there by itself.  ``aggregate`` loads the cache's
-point files inline.  ``fig6``/``sweep`` accept ``--cache-dir`` to memoize
+accepts ``--backend distributed --spool DIR [--wait-workers N]`` to
+fan points out, one per job, over ``repro worker DIR`` processes on
+any hosts sharing DIR (:mod:`repro.sim.distributed`; bit-identical
+results), and ``auto`` with a ``--spool`` routes expensive grids
+there by itself.  ``aggregate`` loads the cache's point files inline.
+``fig6``/``sweep`` accept ``--cache-dir`` to memoize
 completed points on disk so interrupted runs resume, and
 ``--seeds``/``sweep --aggregate`` to repeat cells across seeds and
 reduce them through the shared aggregate layer.  ``quick``/``sweep``/
@@ -93,7 +92,7 @@ def _class_mix(text: str):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (workers, chunk size).
+    """argparse type for counts that must be >= 1 (workers, nodes, windows).
 
     Rejecting at the parser keeps ``--workers 0`` a clean usage error
     (exit code 2) instead of a ConfigurationError traceback from the
@@ -133,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
             "task for points whose estimated cost outweighs the "
             "per-worker spawn tax (cost-aware) or for large sets"
             + (
-                "; distributed ships points as job files through "
-                "--spool to repro.worker processes (auto also routes "
+                "; distributed ships one point per job file through "
+                "--spool to `repro worker` processes (auto also routes "
                 "expensive grids there when --spool is given)"
                 if distributed
                 else ""
@@ -142,15 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if distributed:
             p.add_argument(
-                "--chunk-size", type=_positive_int, default=None,
-                dest="chunk_size",
-                help="points shipped per spool job (distributed only), "
-                "amortising the per-job dispatch cost across a chunk",
-            )
-            p.add_argument(
                 "--spool", default=None,
                 help="shared spool directory for the distributed "
-                "backend (start workers with: python -m repro.worker "
+                "backend (start workers with: python -m repro worker "
                 "SPOOL)",
             )
             p.add_argument(
@@ -370,18 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument("spool", help="shared spool directory")
     pw.add_argument(
-        "--poll-interval", type=_positive_float, default=0.2, metavar="S",
-        help="seconds between queue polls when idle (default 0.2)",
-    )
-    pw.add_argument(
-        "--lease", type=_positive_float, default=None, metavar="S",
-        help="claim heartbeat lease in seconds (default 30)",
-    )
-    pw.add_argument(
-        "--max-jobs", type=_positive_int, default=None, metavar="N",
-        help="exit after executing N jobs (default: run until stopped)",
-    )
-    pw.add_argument(
         "--stop-when-idle", action="store_true",
         help="exit when the queue drains instead of polling for more",
     )
@@ -483,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for durations that must be > 0 (poll interval, lease)."""
+    """argparse type for rates and durations that must be > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -553,7 +534,6 @@ def _run_sweep(args) -> int:
         cache=args.cache_dir,
         progress=(lambda p: print(p.render())) if args.verbose else None,
         backend=args.backend,
-        chunk_size=args.chunk_size,
         spool=args.spool,
         wait_workers=args.wait_workers or 0,
     )
@@ -700,31 +680,21 @@ def _run_compare(args, cache, summary, metrics) -> int:
 
 
 def _run_worker(args) -> int:
-    """``repro worker SPOOL``: same entrypoint as ``python -m repro.worker``."""
+    """``repro worker SPOOL``: run the worker loop, or write/clear the
+    stop sentinel."""
     from repro.errors import ReproError
-    from repro.sim.distributed import (
-        DEFAULT_LEASE_S,
-        clear_stop,
-        request_stop,
-        run_worker,
-    )
+    from repro.sim.distributed import SweepSpool, run_worker
 
     try:
         if args.stop:
-            request_stop(args.spool)
+            SweepSpool(args.spool).ensure().request_stop()
             print(f"stop sentinel written to {args.spool}")
             return 0
         if args.clear_stop:
-            clear_stop(args.spool)
+            SweepSpool(args.spool).ensure().clear_stop()
             print(f"stop sentinel cleared from {args.spool}")
             return 0
-        executed = run_worker(
-            args.spool,
-            poll_interval_s=args.poll_interval,
-            lease_s=args.lease if args.lease is not None else DEFAULT_LEASE_S,
-            max_jobs=args.max_jobs,
-            stop_when_idle=args.stop_when_idle,
-        )
+        executed = run_worker(args.spool, stop_when_idle=args.stop_when_idle)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

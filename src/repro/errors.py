@@ -98,7 +98,7 @@ class WorkerTaskError(ExperimentError):
 
     Carries the zero-based ``index`` of the failing task so the caller
     can map it back to the submitted item.  Picklable across process
-    boundaries (chunked process workers raise it remotely), which is
+    boundaries (spawn process workers raise it remotely), which is
     why the original exception survives only as text in the message —
     ``__cause__`` does not cross a pickle.
     """

@@ -21,18 +21,16 @@ lives behind one interface:
     point.
 
 :class:`~repro.sim.distributed.DistributedBackend`
-    Sweep points run on worker processes on *other hosts*, coordinated
-    through a shared spool directory of atomically written job files
-    (claim-rename + heartbeat-lease protocol; see
-    :mod:`repro.sim.distributed`).  Each job pays a per-dispatch tax —
-    serialise, write, poll, read back — budgeted at
-    :data:`NETWORK_DISPATCH_TAX_S` (sized for NFS-style spools;
-    milliseconds on a local disk), so it beats processes
-    exactly when the fleet's extra cores outweigh that tax: expensive
-    points (≥ :data:`DISTRIBUTED_POINT_CUTOFF_S`) and more workers
-    than the coordinator has cores.  Only sweep tasks travel (the job
-    codec ships frozen configs, not pickled closures); generic maps
-    stay on the local backends.
+    Sweep points run on ``python -m repro worker SPOOL`` processes on
+    any host that shares a spool directory, one point per atomically
+    written job file (claim-rename + heartbeat-lease protocol; see
+    :mod:`repro.sim.distributed`).  A job's filesystem round trip costs
+    milliseconds on a local disk, so the spool pays off for points
+    expensive enough to amortise a worker's start-up (≥
+    :data:`EXPENSIVE_POINT_CUTOFF_S`) and for fleets larger than the
+    coordinator host.  Only sweep tasks travel (the job codec ships
+    frozen configs, not pickled closures); generic maps stay on the
+    local backends.
 
 Failure contract (all backends)
 -------------------------------
@@ -57,8 +55,8 @@ Choosing a backend
 :func:`auto_backend` encodes exactly that rule — **cost-aware** when
 the caller supplies an expected per-point cost (``est_cost_s``): a
 point expected to outlast :data:`EXPENSIVE_POINT_CUTOFF_S` routes to
-processes even on a tiny pending set, because its own compute already
-amortises its worker's start-up.  Cheap or unestimated points fall
+processes (or to a configured spool) even on a tiny pending set,
+because its own compute already amortises its worker's start-up.  Cheap or unestimated points fall
 back to the pending-point count: small sets (≤
 :data:`SERIAL_AUTO_THRESHOLD`) run inline, larger ones on processes.
 The sweep runner estimates cost from its spec — or from measured
@@ -71,7 +69,7 @@ from __future__ import annotations
 import multiprocessing
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Iterator, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkerTaskError
 
@@ -82,9 +80,6 @@ __all__ = [
     "BACKEND_NAMES",
     "SERIAL_AUTO_THRESHOLD",
     "EXPENSIVE_POINT_CUTOFF_S",
-    "NETWORK_DISPATCH_TAX_S",
-    "DISTRIBUTED_POINT_CUTOFF_S",
-    "auto_chunk_size",
     "auto_backend",
     "backend_from_name",
     "resolve_backend",
@@ -101,30 +96,11 @@ BACKEND_NAMES = ("serial", "process", "distributed")
 SERIAL_AUTO_THRESHOLD = 8
 
 #: Expected per-point cost above which ``auto`` routes to processes
-#: regardless of the pending-point count: one such point already
-#: outlasts its worker's spawn tax (interpreter + numpy import + cold
-#: predictor memo, ~1.5 s).
+#: regardless of the pending-point count, or to the spool when one is
+#: configured: one such point already outlasts its worker's spawn tax
+#: (interpreter + numpy import + cold predictor memo, ~1.5 s), and
+#: dwarfs a spool job's filesystem round trip.
 EXPENSIVE_POINT_CUTOFF_S = 2.0
-
-#: Approximate per-*job* dispatch cost of the spool protocol (encode
-#: the tasks, atomic job write, worker claim-rename, result write,
-#: coordinator poll + decode), in seconds.  Measured by
-#: ``benchmarks/bench_sweep_distributed.py`` and persisted to
-#: ``BENCH_sweep_distributed.json``: the raw round-trip on a local
-#: filesystem measures ~0.002 s per job, but the constant is sized for
-#: the deployment the backend exists for — spools on *network*
-#: filesystems, where each step is an NFS round-trip and the
-#: coordinator's poll cadence rides on top.  Feeds
-#: :func:`auto_chunk_size`.
-NETWORK_DISPATCH_TAX_S = 0.05
-
-#: Expected per-point cost above which ``auto`` routes to the spool
-#: when one is configured.  Deliberately the same bar as
-#: :data:`EXPENSIVE_POINT_CUTOFF_S`: a point expensive enough to
-#: amortise a spawn worker is also expensive enough to dwarf the
-#: (much smaller) per-job dispatch tax, and cheap points are better
-#: served locally than shipped across a filesystem.
-DISTRIBUTED_POINT_CUTOFF_S = EXPENSIVE_POINT_CUTOFF_S
 
 #: The one process start method: spawn, so workers inherit no locks
 #: or numpy state from the coordinator.
@@ -147,14 +123,6 @@ def _run_unit(fn: Callable, index: int, item: Any) -> Any:
         raise
     except Exception as exc:
         raise _wrap_failure(index, exc) from exc
-
-
-def chunked(items: Sequence, size: int) -> List[list]:
-    """Split ``items`` into consecutive chunks of at most ``size``."""
-    if size < 1:
-        raise ConfigurationError(f"chunk size must be >= 1, got {size}")
-    items = list(items)
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 class ExecutionBackend(ABC):
@@ -259,15 +227,14 @@ class ProcessBackend(ExecutionBackend):
 def backend_from_name(
     name: str,
     workers: int = 1,
-    chunk_size: int | None = None,
     spool=None,
     wait_workers: int = 0,
 ) -> ExecutionBackend:
     """Build a backend from its CLI name.
 
-    ``chunk_size``, ``spool`` and ``wait_workers`` configure
-    ``distributed`` (a spool is required for it) and are ignored by the
-    local names — one CLI flag set covers every backend choice.
+    ``spool`` and ``wait_workers`` configure ``distributed`` (a spool
+    is required for it) and are ignored by the local names — one CLI
+    flag set covers every backend choice.
     """
     if name == "serial":
         return SerialBackend()
@@ -283,9 +250,7 @@ def backend_from_name(
         # module — resolving it at call time keeps the layering acyclic.
         from repro.sim.distributed import DistributedBackend
 
-        return DistributedBackend(
-            spool, chunk_size=chunk_size or 1, wait_workers=wait_workers
-        )
+        return DistributedBackend(spool, wait_workers=wait_workers)
     raise ConfigurationError(
         f"unknown execution backend {name!r} "
         f"(expected one of {', '.join(BACKEND_NAMES)})"
@@ -296,7 +261,6 @@ def resolve_backend(
     backend,
     workers: int,
     n_tasks: int,
-    chunk_size: int | None = None,
     est_cost_s: float | None = None,
     spool=None,
     wait_workers: int = 0,
@@ -317,42 +281,18 @@ def resolve_backend(
         return auto_backend(
             workers,
             n_tasks,
-            chunk_size=chunk_size,
             est_cost_s=est_cost_s,
             spool=spool,
             wait_workers=wait_workers,
         )
     return backend_from_name(
-        backend,
-        workers=workers,
-        chunk_size=chunk_size,
-        spool=spool,
-        wait_workers=wait_workers,
+        backend, workers=workers, spool=spool, wait_workers=wait_workers
     )
-
-
-def auto_chunk_size(n_tasks: int, workers: int, est_cost_s: float) -> int:
-    """Points per spool job that amortise :data:`NETWORK_DISPATCH_TAX_S`.
-
-    Cheap points are batched until one job's expected compute is at
-    least the dispatch tax; jobs never exceed an even ``n_tasks /
-    workers`` split (bigger jobs would idle workers), and expensive
-    points keep one-point jobs for the finest-grained failure/caching
-    behaviour.
-    """
-    if n_tasks < 1 or workers < 1:
-        raise ConfigurationError("n_tasks and workers must be >= 1")
-    if est_cost_s <= 0:
-        return 1
-    amortising = int(-(-NETWORK_DISPATCH_TAX_S // est_cost_s))  # ceil
-    even_split = int(-(-n_tasks // workers))
-    return max(1, min(amortising, even_split))
 
 
 def auto_backend(
     workers: int,
     n_tasks: int,
-    chunk_size: int | None = None,
     est_cost_s: float | None = None,
     spool=None,
     wait_workers: int = 0,
@@ -369,12 +309,10 @@ def auto_backend(
     :data:`SERIAL_AUTO_THRESHOLD`) inline, whose zero start-up cost
     beats spawn there; bigger sets on spawn processes.
 
-    With a ``spool`` configured, points expensive enough to amortise
-    the per-job dispatch tax (≥ :data:`DISTRIBUTED_POINT_CUTOFF_S`)
-    route to the spool's worker fleet instead of local processes —
-    the fleet's core count is unbounded where the local host's is not
-    — with a ``chunk_size`` from :func:`auto_chunk_size` unless one is
-    given.  Cheap points never travel: their dispatch tax would rival
+    With a ``spool`` configured, the same expensive points route to
+    the spool's worker fleet instead of local processes, one point per
+    job — the fleet's core count is unbounded where the local host's
+    is not.  Cheap points never travel: a job's round trip would rival
     their compute, so they keep the local rule even when a spool is
     offered.
     """
@@ -387,16 +325,11 @@ def auto_backend(
     if spool is not None and (
         n_tasks > 1
         and est_cost_s is not None
-        and est_cost_s >= DISTRIBUTED_POINT_CUTOFF_S
+        and est_cost_s >= EXPENSIVE_POINT_CUTOFF_S
     ):
         from repro.sim.distributed import DistributedBackend
 
-        fleet = max(workers, wait_workers, 1)
-        return DistributedBackend(
-            spool,
-            chunk_size=chunk_size or auto_chunk_size(n_tasks, fleet, est_cost_s),
-            wait_workers=wait_workers,
-        )
+        return DistributedBackend(spool, wait_workers=wait_workers)
     if workers == 1 or n_tasks <= 1:
         return SerialBackend()
     cheap = est_cost_s is None or est_cost_s < EXPENSIVE_POINT_CUTOFF_S

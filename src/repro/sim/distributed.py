@@ -9,21 +9,23 @@ directory for same-host workers).  No broker, no sockets — every
 protocol step is an atomic filesystem operation, the same primitive
 :class:`~repro.sim.sweep.SweepCache` already builds on.
 
-Spool layout (``SPOOL_SCHEMA_VERSION`` = 1)
+Spool layout (``SPOOL_SCHEMA_VERSION`` = 2)
 -------------------------------------------
 ::
 
     <spool>/spool.json        # schema stamp; version-checked on open
     <spool>/jobs/<id>.json    # dispatched, unclaimed job files
     <spool>/claims/<id>.json  # claimed jobs: payload + claim block
-    <spool>/results/<id>.json # completed jobs: results or an error
+    <spool>/results/<id>.json # completed jobs: a result or an error
     <spool>/workers/<host>-<pid>.json   # worker presence + heartbeat
     <spool>/stop              # sentinel: workers drain and exit
 
-A *job* carries a chunk of sweep tasks, each serialised with the same
-:func:`~repro.sim.sweep._canonical` encoding the cache keys use —
-schema-versioned JSON, written via temp-file + ``os.replace`` so a
-reader never sees a half-written file.
+A *job* carries one sweep point (``task``), serialised with the same
+:func:`~repro.sim.sweep._canonical` encoding the cache keys use, and
+its result file carries that point's result — schema-versioned JSON,
+written via temp-file + ``os.replace`` so a reader never sees a
+half-written file.  Version 1 spools shipped chunks of points
+(``tasks``); each side refuses the other's stamp.
 
 Claim protocol
 --------------
@@ -36,11 +38,11 @@ computes.  A claim is **stale** when its worker is provably dead (same
 host, pid gone) or its heartbeat is older than the lease
 (:data:`DEFAULT_LEASE_S`); the coordinator reclaims stale claims by
 atomically re-writing the job file and dropping the claim — so a
-SIGKILL'd worker costs one lease interval, not the sweep.  A worker
-that was merely paused past its lease may still finish; the duplicate
-execution is harmless because every task is deterministic and result
-writes are atomic and idempotent (last writer rewrites identical
-bytes).
+SIGKILL'd worker costs at most one lease interval, not the sweep.  A
+worker that was merely paused past its lease may still finish; the
+duplicate execution is harmless because every task is deterministic
+and result writes are atomic and idempotent (last writer rewrites
+identical bytes).
 
 Determinism and failure contract
 --------------------------------
@@ -50,12 +52,16 @@ per-process predictor memo — and results round-trip through the same
 exact-float JSON the cache uses, so a distributed sweep is
 **bit-identical** to serial on every ``metrics_dict()`` field.  A task
 that raises in a worker comes back as an error result; the coordinator
-yields every already-finished success, deletes the run's unclaimed job
-files (cancel), and raises :class:`~repro.errors.WorkerTaskError` with
-the failing index — the same contract as every other backend, so
+yields every success already on disk, deletes the run's unclaimed job
+files (:meth:`SweepSpool.cancel_run`), and raises
+:class:`~repro.errors.WorkerTaskError` with the failing index — the
+same contract as every other backend, so
 :class:`~repro.sim.sweep.ParallelSweepRunner` resumes from cached
 peers unchanged.  ``SweepCache`` writes stay coordinator-side only:
 workers touch nothing but the spool.
+
+Workers are started with ``python -m repro worker SPOOL`` on each host
+and drained with ``python -m repro worker SPOOL --stop``.
 """
 
 from __future__ import annotations
@@ -71,14 +77,20 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SpoolError, WorkerTaskError
-from repro.sim.backends import ExecutionBackend, chunked
+from repro.sim.backends import ExecutionBackend
+from repro.sim.runner import PolicyResult
+from repro.sim.sweep import (
+    _atomic_write_json,
+    _canonical,
+    _execute_task,
+    _pid_alive,
+    _reap_temp_files,
+)
 
 __all__ = [
     "DistributedBackend",
     "SweepSpool",
     "run_worker",
-    "request_stop",
-    "clear_stop",
     "register_codec_class",
     "encode_task",
     "decode_task",
@@ -88,8 +100,8 @@ __all__ = [
 
 #: Bump when the spool layout or job/result payload schema changes; a
 #: spool stamped with a different version refuses to open (never a
-#: silent cross-version misread).
-SPOOL_SCHEMA_VERSION = 1
+#: silent cross-version misread).  Version 2: one point per job.
+SPOOL_SCHEMA_VERSION = 2
 
 #: Seconds without a heartbeat after which a claim (or a worker
 #: presence file) is considered abandoned and may be reclaimed.
@@ -215,8 +227,6 @@ def _decode_canonical(obj, *, where: str):
 
 def encode_task(index: int, task: tuple) -> dict:
     """One ``(config, policy)`` task as a JSON-able job entry."""
-    from repro.sim.sweep import _canonical
-
     config, policy = task
     return {
         "index": int(index),
@@ -252,6 +262,36 @@ def _new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
+def _local_pid(record: dict) -> Optional[int]:
+    """The record's pid when it was written on this host, else ``None``."""
+    pid = record.get("pid")
+    if record.get("host") == _hostname() and isinstance(pid, int):
+        return pid
+    return None
+
+
+def _heartbeat_expired(record: dict, now: float, lease_s: float) -> bool:
+    heartbeat = record.get("heartbeat")
+    return not isinstance(heartbeat, (int, float)) or now - heartbeat > lease_s
+
+
+def _claim_is_stale(claim: dict, now: float, lease_s: float) -> bool:
+    """A claim is stale when its worker is provably dead (same host,
+    pid gone) or its heartbeat is missing or older than the lease."""
+    pid = _local_pid(claim)
+    dead = pid is not None and not _pid_alive(pid)
+    return dead or _heartbeat_expired(claim, now, lease_s)
+
+
+def _worker_is_alive(info: dict, now: float, lease_s: float) -> bool:
+    """Same-host workers are checked by pid (exact); remote ones by
+    heartbeat freshness against the lease."""
+    pid = _local_pid(info)
+    if pid is not None:
+        return _pid_alive(pid)
+    return not _heartbeat_expired(info, now, lease_s)
+
+
 class SweepSpool:
     """Filesystem job queue shared by one coordinator and N workers.
 
@@ -277,22 +317,25 @@ class SweepSpool:
     def stop_path(self) -> Path:
         return self.root / STOP_NAME
 
-    def ensure(self) -> "SweepSpool":
-        """Create the layout (idempotent) and check the schema stamp."""
-        for d in (
+    def _dirs(self) -> Tuple[Path, ...]:
+        return (
             self.root,
             self.jobs_dir,
             self.claims_dir,
             self.results_dir,
             self.workers_dir,
-        ):
+        )
+
+    def ensure(self) -> "SweepSpool":
+        """Create the layout (idempotent) and check the schema stamp."""
+        for d in self._dirs():
             d.mkdir(parents=True, exist_ok=True)
         meta = self._read_json(self.meta_path)
         if meta is None:
             # Concurrent first-ensures both write the stamp; the temp
             # names are collision-free, so last-writer-wins with
             # identical schema content.
-            self._atomic_write(
+            _atomic_write_json(
                 self.meta_path,
                 {"schema_version": SPOOL_SCHEMA_VERSION, "created": time.time()},
             )
@@ -306,25 +349,6 @@ class SweepSpool:
         return self
 
     # -- low-level IO ---------------------------------------------------
-    @staticmethod
-    def _atomic_write(path: Path, payload: dict) -> None:
-        """Temp-file + ``os.replace``, like the sweep cache's writer,
-        but with a per-call nonce in the temp name: spool files (the
-        schema stamp, a claim under heartbeat) can be written
-        concurrently by two actors *in the same process*, and a purely
-        pid-based temp name would make them fight over one temp file.
-        The ``tmp-<pid>`` tail is preserved so :meth:`gc`'s
-        live-pid-spared reaping still applies.
-        """
-        tmp = path.with_name(
-            f"{path.stem}-{uuid.uuid4().hex[:8]}.tmp-{os.getpid()}"
-        )
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
     @staticmethod
     def _read_json(path: Path) -> Optional[dict]:
         """Parse one spool file; gone → ``None``; partial reads cannot
@@ -342,17 +366,33 @@ class SweepSpool:
                 path=path,
             ) from exc
 
+    def _scan(
+        self, directory: Path, pattern: str = "*.json"
+    ) -> Iterator[Tuple[Path, dict]]:
+        """``(path, payload)`` for every readable file in ``directory``.
+
+        A file that vanished, or a mid-replace blip on a non-atomic
+        filesystem, is skipped; the next pass sees it again.
+        """
+        for path in directory.glob(pattern):
+            try:
+                payload = self._read_json(path)
+            except SpoolError:
+                continue
+            if payload is not None:
+                yield path, payload
+
     # -- coordinator side -----------------------------------------------
-    def submit_job(self, job_id: str, run_id: str, tasks: List[dict]) -> Path:
-        """Dispatch one job (a chunk of encoded tasks) for claiming."""
+    def submit_job(self, job_id: str, run_id: str, task: dict) -> Path:
+        """Dispatch one job (one encoded task) for claiming."""
         path = self.jobs_dir / f"{job_id}.json"
-        self._atomic_write(
+        _atomic_write_json(
             path,
             {
                 "schema_version": SPOOL_SCHEMA_VERSION,
                 "run_id": run_id,
                 "job_id": job_id,
-                "tasks": tasks,
+                "task": task,
             },
         )
         return path
@@ -365,49 +405,24 @@ class SweepSpool:
         (self.results_dir / f"{job_id}.json").unlink(missing_ok=True)
 
     def reclaim_stale(self, run_id: str, lease_s: float) -> int:
-        """Re-dispatch this run's jobs whose claimant is gone.
+        """Re-dispatch this run's jobs whose claim is stale.
 
-        A claim is stale when its worker is provably dead (same host,
-        pid no longer exists) or its heartbeat exceeded the lease.
         Re-dispatch order (job file first, claim unlink second) is
         crash-safe: dying between the two leaves a job file *and* a
         stale claim, and the next reclaim pass simply drops the claim.
         Returns how many claims were reclaimed.
         """
-        from repro.sim.sweep import _pid_alive
-
         reclaimed = 0
         now = time.time()
-        for path in self.claims_dir.glob(f"{run_id}-*.json"):
-            try:
-                payload = self._read_json(path)
-            except SpoolError:
-                continue  # mid-replace blip on a non-atomic FS; retry later
-            if payload is None:
-                continue
-            claim = payload.get("claim") or {}
-            dead = (
-                claim.get("host") == _hostname()
-                and isinstance(claim.get("pid"), int)
-                and not _pid_alive(claim["pid"])
-            )
-            heartbeat = claim.get("heartbeat")
-            expired = (
-                not isinstance(heartbeat, (int, float))
-                or now - heartbeat > lease_s
-            )
-            if not (dead or expired):
+        for path, payload in self._scan(self.claims_dir, f"{run_id}-*.json"):
+            if not _claim_is_stale(payload.get("claim") or {}, now, lease_s):
                 continue
             job_id = payload.get("job_id") or path.stem
             if (self.results_dir / f"{job_id}.json").exists():
                 path.unlink(missing_ok=True)  # finished before it died
                 continue
-            job = {
-                k: payload[k]
-                for k in ("schema_version", "run_id", "job_id", "tasks")
-                if k in payload
-            }
-            self._atomic_write(self.jobs_dir / f"{job_id}.json", job)
+            job = {k: v for k, v in payload.items() if k != "claim"}
+            _atomic_write_json(self.jobs_dir / f"{job_id}.json", job)
             path.unlink(missing_ok=True)
             reclaimed += 1
         return reclaimed
@@ -418,13 +433,11 @@ class SweepSpool:
         Claimed jobs cannot be revoked mid-compute; their (discarded)
         results land later and are reaped by
         :meth:`~repro.sim.sweep.SweepCache.gc` or the next
-        coordinator's :meth:`cleanup_run`.
+        coordinator's :meth:`cancel_run`.
         """
         for d in (self.jobs_dir, self.results_dir):
             for path in d.glob(f"{run_id}-*.json"):
                 path.unlink(missing_ok=True)
-
-    cleanup_run = cancel_run
 
     # -- worker side ----------------------------------------------------
     def pending_jobs(self) -> List[str]:
@@ -455,13 +468,13 @@ class SweepSpool:
             "claimed_at": now,
             "heartbeat": now,
         }
-        self._atomic_write(dst, payload)
+        _atomic_write_json(dst, payload)
         return payload
 
     def refresh_claim(self, payload: dict) -> None:
         """Heartbeat: atomically rewrite the claim with a fresh stamp."""
         payload["claim"]["heartbeat"] = time.time()
-        self._atomic_write(
+        _atomic_write_json(
             self.claims_dir / f"{payload['job_id']}.json", payload
         )
 
@@ -469,17 +482,18 @@ class SweepSpool:
         (self.claims_dir / f"{job_id}.json").unlink(missing_ok=True)
 
     def write_result(self, job_id: str, payload: dict) -> None:
-        self._atomic_write(self.results_dir / f"{job_id}.json", payload)
+        """Publish one job's result payload (``status`` ``ok`` with a
+        ``result``, or ``error`` with an ``error`` message)."""
+        _atomic_write_json(self.results_dir / f"{job_id}.json", payload)
 
     # -- worker presence -------------------------------------------------
-    def worker_path(self, pid: Optional[int] = None) -> Path:
-        pid = os.getpid() if pid is None else pid
-        return self.workers_dir / f"{_hostname()}-{pid}.json"
+    def worker_path(self) -> Path:
+        return self.workers_dir / f"{_hostname()}-{os.getpid()}.json"
 
     def register_worker(self) -> Path:
         path = self.worker_path()
         now = time.time()
-        self._atomic_write(
+        _atomic_write_json(
             path,
             {
                 "pid": os.getpid(),
@@ -497,142 +511,63 @@ class SweepSpool:
         self.worker_path().unlink(missing_ok=True)
 
     def live_workers(self, lease_s: float = DEFAULT_LEASE_S) -> int:
-        """How many registered workers are currently believed alive.
-
-        Same-host workers are checked by pid (exact); remote ones by
-        heartbeat freshness against the lease.
-        """
-        from repro.sim.sweep import _pid_alive
-
+        """How many registered workers are currently believed alive."""
         now = time.time()
-        alive = 0
-        for path in self.workers_dir.glob("*.json"):
-            try:
-                info = self._read_json(path)
-            except SpoolError:
-                continue
-            if info is None:
-                continue
-            if info.get("host") == _hostname() and isinstance(
-                info.get("pid"), int
-            ):
-                alive += 1 if _pid_alive(info["pid"]) else 0
-            elif (
-                isinstance(info.get("heartbeat"), (int, float))
-                and now - info["heartbeat"] <= lease_s
-            ):
-                alive += 1
-        return alive
+        return sum(
+            _worker_is_alive(info, now, lease_s)
+            for _, info in self._scan(self.workers_dir)
+        )
 
     # -- hygiene ---------------------------------------------------------
     def gc(self, lease_s: float = DEFAULT_LEASE_S) -> List[Path]:
         """Reap abandoned spool artifacts; returns the removed paths.
 
-        Removes expired claim files (worker provably dead, or heartbeat
-        beyond the lease), presence files of dead workers, and
-        ``*.tmp-<pid>`` files abandoned by dead writers — the same
-        live-pid-spared rule as :meth:`~repro.sim.sweep.SweepCache.gc`,
-        whose ``spool=`` argument delegates here.  Run it on idle
-        spools: an *active* coordinator re-dispatches its own stale
-        claims, and gc'ing a claim out from under it orphans that job
-        until the coordinator's no-worker watchdog fires.
+        Removes stale claim files, presence files of dead workers, and
+        ``*.tmp-<pid>`` files abandoned by dead writers (the reaper
+        :meth:`~repro.sim.sweep.SweepCache.gc` uses too; its ``spool=``
+        argument delegates here).  Run it on idle spools: an *active*
+        coordinator re-dispatches its own stale claims, and gc'ing a
+        claim out from under it orphans that job until the
+        coordinator's no-worker watchdog fires.
         """
-        from repro.sim.sweep import _pid_alive
-
-        removed: List[Path] = []
         now = time.time()
-        for path in self.claims_dir.glob("*.json"):
-            try:
-                payload = self._read_json(path)
-            except SpoolError:
-                continue
-            if payload is None:
-                continue
-            claim = payload.get("claim") or {}
-            dead = (
-                claim.get("host") == _hostname()
-                and isinstance(claim.get("pid"), int)
-                and not _pid_alive(claim["pid"])
-            )
-            heartbeat = claim.get("heartbeat")
-            expired = (
-                not isinstance(heartbeat, (int, float))
-                or now - heartbeat > lease_s
-            )
-            if dead or expired:
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        for path in self.workers_dir.glob("*.json"):
-            try:
-                info = self._read_json(path)
-            except SpoolError:
-                continue
-            if info is None:
-                continue
-            if info.get("host") == _hostname() and isinstance(
-                info.get("pid"), int
-            ):
-                dead = not _pid_alive(info["pid"])
-            else:
-                heartbeat = info.get("heartbeat")
-                dead = (
-                    not isinstance(heartbeat, (int, float))
-                    or now - heartbeat > lease_s
-                )
-            if dead:
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        for directory in (
-            self.root,
-            self.jobs_dir,
-            self.claims_dir,
-            self.results_dir,
-            self.workers_dir,
-        ):
-            for path in directory.glob("*.tmp-*"):
-                pid_str = path.name.rpartition("tmp-")[2]
-                if pid_str.isdigit() and _pid_alive(int(pid_str)):
-                    continue
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        return removed
+        removed = [
+            path
+            for path, payload in self._scan(self.claims_dir)
+            if _claim_is_stale(payload.get("claim") or {}, now, lease_s)
+        ] + [
+            path
+            for path, info in self._scan(self.workers_dir)
+            if not _worker_is_alive(info, now, lease_s)
+        ]
+        for path in removed:
+            path.unlink(missing_ok=True)
+        return removed + _reap_temp_files(*self._dirs())
 
     # -- stop sentinel ---------------------------------------------------
     def stop_requested(self) -> bool:
         return self.stop_path.exists()
 
     def request_stop(self) -> None:
+        """Write the stop sentinel: workers finish their job and exit."""
         self.stop_path.touch()
 
     def clear_stop(self) -> None:
+        """Remove the stop sentinel so new workers can be started."""
         self.stop_path.unlink(missing_ok=True)
 
 
-def request_stop(spool: Union[str, Path, SweepSpool]) -> None:
-    """Write the stop sentinel: workers finish their job and exit."""
-    (spool if isinstance(spool, SweepSpool) else SweepSpool(spool)).ensure().request_stop()
-
-
-def clear_stop(spool: Union[str, Path, SweepSpool]) -> None:
-    """Remove the stop sentinel so new workers can be started."""
-    (spool if isinstance(spool, SweepSpool) else SweepSpool(spool)).ensure().clear_stop()
-
-
 # ----------------------------------------------------------------------
-# worker loop (python -m repro.worker SPOOL)
+# worker loop (python -m repro worker SPOOL)
 # ----------------------------------------------------------------------
 def _execute_job(
     spool: SweepSpool, payload: dict, lease_s: float
 ) -> None:
-    """Run one claimed job's tasks and write the result file.
+    """Run one claimed job's point and write its result file.
 
-    The claim heartbeat is refreshed from a daemon thread while tasks
-    compute, so a long point does not look abandoned.  The first
-    failing task aborts the rest of its job and reports that task's
-    index (the job's earlier results are recomputed on a rerun).
+    The claim heartbeat is refreshed from a daemon thread while the
+    point computes, so a long point does not look abandoned.
     """
-    from repro.sim.sweep import _execute_task
-
     job_id = payload["job_id"]
     done = threading.Event()
     interval = max(0.05, min(lease_s / 4.0, 5.0))
@@ -646,39 +581,22 @@ def _execute_job(
         target=_beat, name=f"spool-heartbeat-{job_id}", daemon=True
     )
     beater.start()
-    results: List[dict] = []
-    failure: Optional[Tuple[Optional[int], str]] = None
-    try:
-        for entry in payload.get("tasks", []):
-            index = entry.get("index")
-            try:
-                task = decode_task(entry, where=f"job {job_id}")
-                result = _execute_task(task)
-                results.append(
-                    {"index": int(index), "result": result.to_dict()}
-                )
-            except Exception as exc:
-                failure = (
-                    int(index) if isinstance(index, int) else None,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                break
-    finally:
-        done.set()
-        beater.join()
     out: dict = {
         "schema_version": SPOOL_SCHEMA_VERSION,
         "run_id": payload.get("run_id"),
         "job_id": job_id,
         "worker": {"pid": os.getpid(), "host": _hostname()},
     }
-    if failure is None:
+    try:
+        task = decode_task(payload.get("task"), where=f"job {job_id}")
+        out["result"] = _execute_task(task).to_dict()
         out["status"] = "ok"
-        out["results"] = results
-    else:
+    except Exception as exc:
         out["status"] = "error"
-        out["index"] = failure[0]
-        out["error"] = failure[1]
+        out["error"] = f"{type(exc).__name__}: {exc}"
+    finally:
+        done.set()
+        beater.join()
     spool.write_result(job_id, out)
     spool.release_claim(job_id)
 
@@ -687,17 +605,15 @@ def run_worker(
     spool: Union[str, Path, SweepSpool],
     poll_interval_s: float = 0.2,
     lease_s: float = DEFAULT_LEASE_S,
-    max_jobs: Optional[int] = None,
     stop_when_idle: bool = False,
 ) -> int:
-    """Pull-and-execute loop: the body of ``python -m repro.worker``.
+    """Pull-and-execute loop: the body of ``python -m repro worker``.
 
     Claims pending jobs oldest-first, executes them with the shared
     per-process predictor memo (many jobs sharing a profiling
     signature train once per worker), and loops until the spool's
-    ``stop`` sentinel appears, ``max_jobs`` jobs have run, or —
-    with ``stop_when_idle`` — the queue drains.  Returns the number
-    of jobs executed.
+    ``stop`` sentinel appears or — with ``stop_when_idle`` — the queue
+    drains.  Returns the number of jobs executed.
     """
     if poll_interval_s <= 0:
         raise ConfigurationError(
@@ -713,8 +629,6 @@ def run_worker(
     last_presence = time.monotonic()
     try:
         while not spool.stop_requested():
-            if max_jobs is not None and executed >= max_jobs:
-                break
             claimed = None
             for job_id in spool.pending_jobs():
                 claimed = spool.claim(job_id)
@@ -739,15 +653,13 @@ def run_worker(
 # the coordinator-side backend
 # ----------------------------------------------------------------------
 class DistributedBackend(ExecutionBackend):
-    """Sweep execution over spool workers (see the module docstring).
+    """Sweep execution over spool workers, one point per job (see the
+    module docstring).
 
     Parameters
     ----------
     spool:
         The shared spool directory (created if missing).
-    chunk_size:
-        Sweep points per job file; amortises the per-job dispatch tax
-        (:data:`~repro.sim.backends.NETWORK_DISPATCH_TAX_S`).
     wait_workers:
         Block until this many live workers are registered before
         dispatching (0 = dispatch immediately).  Waiting longer than
@@ -768,16 +680,11 @@ class DistributedBackend(ExecutionBackend):
     def __init__(
         self,
         spool: Union[str, Path, SweepSpool],
-        chunk_size: int = 1,
         wait_workers: int = 0,
         lease_s: float = DEFAULT_LEASE_S,
         poll_interval_s: float = 0.1,
         wait_timeout_s: float = 120.0,
     ) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk size must be >= 1, got {chunk_size}"
-            )
         if wait_workers < 0:
             raise ConfigurationError(
                 f"wait_workers must be >= 0, got {wait_workers}"
@@ -789,7 +696,6 @@ class DistributedBackend(ExecutionBackend):
         self.spool = (
             spool if isinstance(spool, SweepSpool) else SweepSpool(spool)
         )
-        self.chunk_size = chunk_size
         self.wait_workers = wait_workers
         self.lease_s = lease_s
         self.poll_interval_s = poll_interval_s
@@ -798,10 +704,7 @@ class DistributedBackend(ExecutionBackend):
         self.reclaimed = 0
 
     def __repr__(self) -> str:
-        return (
-            f"DistributedBackend(spool={str(self.spool.root)!r}, "
-            f"chunk_size={self.chunk_size})"
-        )
+        return f"DistributedBackend(spool={str(self.spool.root)!r})"
 
     def _wait_for_workers(self) -> None:
         deadline = time.monotonic() + self.wait_timeout_s
@@ -812,7 +715,7 @@ class DistributedBackend(ExecutionBackend):
                     f"{self.wait_workers} live worker(s) on spool "
                     f"{self.spool.root}, found "
                     f"{self.spool.live_workers(self.lease_s)} — start "
-                    "workers with: python -m repro.worker "
+                    "workers with: python -m repro worker "
                     f"{self.spool.root}",
                     path=self.spool.root,
                 )
@@ -821,9 +724,6 @@ class DistributedBackend(ExecutionBackend):
     def imap_unordered(
         self, fn: Callable, items: Sequence
     ) -> Iterator[Tuple[int, Any]]:
-        from repro.sim.runner import PolicyResult
-        from repro.sim.sweep import _execute_task
-
         if fn is not _execute_task:
             raise ConfigurationError(
                 "the distributed backend ships (config, policy) sweep "
@@ -839,17 +739,12 @@ class DistributedBackend(ExecutionBackend):
             self._wait_for_workers()
         run_id = _new_run_id()
         self.reclaimed = 0
-        outstanding: set = set()
-        for chunk_no, chunk in enumerate(
-            chunked(list(enumerate(items)), self.chunk_size)
-        ):
-            job_id = f"{run_id}-{chunk_no:06d}"
-            spool.submit_job(
-                job_id,
-                run_id,
-                [encode_task(index, task) for index, task in chunk],
-            )
-            outstanding.add(job_id)
+        # job id -> index of the point it carries
+        outstanding: Dict[str, int] = {}
+        for index, task in enumerate(items):
+            job_id = f"{run_id}-{index:06d}"
+            spool.submit_job(job_id, run_id, encode_task(index, task))
+            outstanding[job_id] = index
 
         failure: Optional[WorkerTaskError] = None
         last_progress = time.monotonic()
@@ -860,32 +755,27 @@ class DistributedBackend(ExecutionBackend):
                     payload = spool.read_result(job_id)
                     if payload is None:
                         continue
-                    outstanding.discard(job_id)
+                    index = outstanding.pop(job_id)
                     spool.consume_result(job_id)
                     progressed = True
                     if payload.get("status") == "ok":
-                        for entry in payload.get("results", []):
-                            yield (
-                                int(entry["index"]),
-                                PolicyResult.from_dict(entry["result"]),
-                            )
-                    else:
-                        index = payload.get("index")
+                        yield index, PolicyResult.from_dict(payload["result"])
+                    elif failure is None:
+                        # Keep scanning: successes already on disk are
+                        # yielded before the failure is raised.
                         worker = payload.get("worker") or {}
                         failure = WorkerTaskError(
                             f"task {index} raised in spool worker "
                             f"{worker.get('host')}:{worker.get('pid')}: "
                             f"{payload.get('error', 'unknown error')}",
-                            index=index if isinstance(index, int) else None,
+                            index=index,
                         )
-                        break
-                if failure is not None or not outstanding:
-                    break
                 if progressed:
                     last_progress = time.monotonic()
                     continue
-                if spool.reclaim_stale(run_id, self.lease_s):
-                    self.reclaimed += 1
+                reclaimed = spool.reclaim_stale(run_id, self.lease_s)
+                if reclaimed:
+                    self.reclaimed += reclaimed
                     last_progress = time.monotonic()
                     continue
                 if (
@@ -896,7 +786,7 @@ class DistributedBackend(ExecutionBackend):
                         f"no live workers on spool {spool.root} and no "
                         f"progress for {self.wait_timeout_s:g}s "
                         f"({len(outstanding)} job(s) outstanding) — start "
-                        f"workers with: python -m repro.worker {spool.root}",
+                        f"workers with: python -m repro worker {spool.root}",
                         path=spool.root,
                     )
                 time.sleep(self.poll_interval_s)
@@ -904,7 +794,7 @@ class DistributedBackend(ExecutionBackend):
             # Success leaves nothing behind; failure (or the caller
             # abandoning the generator) withdraws unclaimed jobs so
             # workers stop picking up a cancelled run.
-            spool.cleanup_run(run_id)
+            spool.cancel_run(run_id)
         if failure is not None:
             raise failure
 

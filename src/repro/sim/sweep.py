@@ -56,17 +56,15 @@ how pending points execute; results are identical for every choice.
 ``distributed``
     Points run on worker processes pulled from a shared spool
     directory (CLI ``--spool DIR``; start workers with ``python -m
-    repro.worker DIR``), which may sit on other hosts behind a shared
-    filesystem — see :mod:`repro.sim.distributed` for the claim/lease
-    protocol.  It beats ``process`` when the fleet has more cores than
-    the coordinator and points are expensive enough to amortise the
-    per-job dispatch tax (~:data:`repro.sim.backends.
-    NETWORK_DISPATCH_TAX_S` per job; ``chunk_size=k``, CLI
-    ``--chunk-size``, ships ``k`` points per job); ``auto`` applies
-    exactly that rule when a spool is configured.  Resume interacts
-    with the spool only through this cache: workers never touch
-    ``SweepCache`` — results travel back through the spool and the
-    **coordinator** persists them — so an interrupted distributed
+    repro worker DIR``), which may sit on other hosts behind a shared
+    filesystem — one point per job; see :mod:`repro.sim.distributed`
+    for the claim/lease protocol.  It beats ``process`` when the fleet
+    has more cores than the coordinator and points are expensive
+    (:data:`repro.sim.backends.EXPENSIVE_POINT_CUTOFF_S`); ``auto``
+    routes such grids there when a spool is configured.  Resume
+    interacts with the spool only through this cache: workers never
+    touch ``SweepCache`` — results travel back through the spool and
+    the **coordinator** persists them — so an interrupted distributed
     sweep resumes from the same cache files as any other backend, and
     stale spool artifacts are mere garbage (reaped by
     :meth:`SweepCache.gc` ``spool=``), never stale results.
@@ -444,14 +442,39 @@ def _atomic_write_json(path: Path, payload: dict, indent=None) -> None:
     The temp file lives in the target directory (``os.replace`` must
     not cross filesystems) and is flushed + fsynced before the rename,
     so even a hard kill mid-write leaves either the old content or the
-    new — never a truncated hybrid.
+    new — never a truncated hybrid.  A per-call nonce in the temp name
+    keeps two writers of one path in the same process (a spool claim
+    under heartbeat, one cache point stored by two in-process sweeps)
+    off each other's temp file; the ``tmp-<pid>`` tail is what
+    :func:`_reap_temp_files` reads to spare live writers.
     """
-    tmp = path.with_name(f"{path.stem}.tmp-{os.getpid()}")
+    tmp = path.with_name(
+        f"{path.stem}-{os.urandom(4).hex()}.tmp-{os.getpid()}"
+    )
     with tmp.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=indent)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _reap_temp_files(*directories: Path) -> List[Path]:
+    """Delete ``*.tmp-<pid>`` files abandoned by dead writers; returns
+    the removed paths.
+
+    A temp file whose writer pid is still alive is an in-flight atomic
+    write and is left alone (deleting it would crash that writer's
+    rename); a tail that is not a pid cannot be one of ours in flight.
+    """
+    removed: List[Path] = []
+    for directory in directories:
+        for path in directory.glob("*.tmp-*"):
+            pid_str = path.name.rpartition("tmp-")[2]
+            if pid_str.isdigit() and _pid_alive(int(pid_str)):
+                continue
+            path.unlink(missing_ok=True)
+            removed.append(path)
+    return removed
 
 
 def _pid_alive(pid: int) -> bool:
@@ -707,24 +730,20 @@ class SweepCache:
             theirs = other
         return _config_diff(mine["spec"], theirs["spec"])
 
-    def gc(self, spool=None, spool_lease_s: Optional[float] = None) -> List[Path]:
+    def gc(self, spool=None) -> List[Path]:
         """Remove point files not named by the manifest, plus temp
         files abandoned by dead writers; returns the removed paths.
 
         This is how a cache directory shared across evolving grids is
         kept bounded: keys from abandoned configurations are orphans
         once the manifest describes the current grid.  Temp files are
-        named ``*.tmp-<pid>``; one whose writer pid is still alive is
-        an in-flight atomic write by a concurrent sweep and is left
-        alone (deleting it would crash that writer's rename).
+        reaped by :func:`_reap_temp_files` (live writers spared).
 
         With ``spool`` (a directory path or
         :class:`~repro.sim.distributed.SweepSpool`), stale *spool*
         artifacts are reaped too — expired claim files, dead-worker
-        presence files, and orphaned ``tmp-`` job/result files — under
-        the same live-pid-spared rule; ``spool_lease_s`` overrides the
-        heartbeat lease the claim-expiry check uses.  Run spool gc on
-        idle spools (see :meth:`SweepSpool.gc <repro.sim.distributed.
+        presence files, and orphaned temp files.  Run spool gc on idle
+        spools (see :meth:`SweepSpool.gc <repro.sim.distributed.
         SweepSpool.gc>`).
         """
         manifest = self.manifest()
@@ -740,26 +759,13 @@ class SweepCache:
             if path.stem not in live:
                 path.unlink(missing_ok=True)
                 removed.append(path)
-        for path in self.root.glob("*.tmp-*"):
-            pid_str = path.name.rpartition("tmp-")[2]
-            if pid_str.isdigit() and _pid_alive(int(pid_str)):
-                continue
-            path.unlink(missing_ok=True)
-            removed.append(path)
+        removed.extend(_reap_temp_files(self.root))
         if spool is not None:
-            from repro.sim.distributed import DEFAULT_LEASE_S, SweepSpool
+            from repro.sim.distributed import SweepSpool
 
             if not isinstance(spool, SweepSpool):
                 spool = SweepSpool(spool)
-            removed.extend(
-                spool.gc(
-                    lease_s=(
-                        DEFAULT_LEASE_S
-                        if spool_lease_s is None
-                        else spool_lease_s
-                    )
-                )
-            )
+            removed.extend(spool.gc())
         return removed
 
     def __len__(self) -> int:
@@ -1052,10 +1058,6 @@ class ParallelSweepRunner:
         execution backend* section — serial for one worker or a small
         set of cheap pending points, spawn processes otherwise.
         Bit-identical results for every choice.
-    chunk_size:
-        Distributed only: points shipped per spool job, amortising the
-        per-job dispatch tax.  Default: derived by ``auto``, one point
-        per job for an explicit ``"distributed"``.
     spool:
         Shared spool directory for the distributed backend (required
         with ``backend="distributed"``; offered to ``auto``, which
@@ -1072,16 +1074,11 @@ class ParallelSweepRunner:
         cache: Union[SweepCache, str, Path, None] = None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
         backend: Union[str, ExecutionBackend, None] = None,
-        chunk_size: Optional[int] = None,
         spool: Union[str, Path, None] = None,
         wait_workers: int = 0,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk size must be >= 1, got {chunk_size}"
-            )
         if (
             isinstance(backend, str)
             and backend != "auto"
@@ -1107,7 +1104,6 @@ class ParallelSweepRunner:
         self.cache = cache
         self.progress = progress
         self.backend = backend
-        self.chunk_size = chunk_size
         self.spool = spool
         self.wait_workers = wait_workers
 
@@ -1163,7 +1159,6 @@ class ParallelSweepRunner:
             self.backend,
             self.workers,
             n_pending,
-            chunk_size=self.chunk_size,
             est_cost_s=self._estimate_point_cost(cached),
             spool=self.spool,
             wait_workers=self.wait_workers,

@@ -8,15 +8,12 @@ from repro.errors import ConfigurationError, WorkerTaskError
 from repro.sim.backends import (
     BACKEND_NAMES,
     EXPENSIVE_POINT_CUTOFF_S,
-    NETWORK_DISPATCH_TAX_S,
     SERIAL_AUTO_THRESHOLD,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     auto_backend,
-    auto_chunk_size,
     backend_from_name,
-    chunked,
     resolve_backend,
 )
 
@@ -90,17 +87,6 @@ class TestProcessBackendFailure:
         assert all(result == [1, 9, None, 16][i] for i, result in collected)
 
 
-class TestChunked:
-    def test_splits_and_preserves_order(self):
-        assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert chunked([1, 2], 10) == [[1, 2]]
-        assert chunked([], 3) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ConfigurationError):
-            chunked([1], 0)
-
-
 class TestFactories:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_names_resolve(self, name, tmp_path):
@@ -110,12 +96,6 @@ class TestFactories:
         backend = backend_from_name(name, workers=2, spool=spool)
         assert isinstance(backend, ExecutionBackend)
         assert backend.name == name
-
-    def test_chunk_size_is_ignored_by_local_backends(self):
-        # Accepted and ignored: one CLI flag set, any backend.
-        process = backend_from_name("process", workers=2, chunk_size=4)
-        assert repr(process) == "ProcessBackend(workers=2)"
-        assert backend_from_name("serial", chunk_size=4).name == "serial"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="serial, process"):
@@ -170,20 +150,6 @@ class TestCostAwareAuto:
         assert isinstance(backend, ProcessBackend)
         assert repr(backend) == "ProcessBackend(workers=4)"
 
-    def test_explicit_chunk_size_wins_over_auto(self, tmp_path):
-        # chunk_size only shapes spool jobs: with a spool, an explicit
-        # size beats auto_chunk_size; local processes always take one
-        # point per task.
-        expensive = EXPENSIVE_POINT_CUTOFF_S * 2
-        spooled = auto_backend(
-            4, 40, chunk_size=7, est_cost_s=expensive, spool=tmp_path
-        )
-        assert spooled.name == "distributed"
-        assert spooled.chunk_size == 7
-        assert auto_chunk_size(40, 4, expensive) == 1
-        local = auto_backend(4, 40, chunk_size=7, est_cost_s=expensive)
-        assert repr(local) == "ProcessBackend(workers=4)"
-
     def test_no_estimate_keeps_count_rule(self):
         assert auto_backend(4, SERIAL_AUTO_THRESHOLD).name == "serial"
         assert auto_backend(4, SERIAL_AUTO_THRESHOLD + 1).name == "process"
@@ -205,19 +171,6 @@ class TestCostAwareAuto:
         assert resolve_backend(
             "serial", 4, 4, est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 5
         ).name == "serial"
-
-    def test_auto_chunk_size_bounds(self):
-        # Enough cheap points per spool job to amortise the dispatch
-        # tax...
-        assert auto_chunk_size(100, 4, 0.01) == int(
-            -(-NETWORK_DISPATCH_TAX_S // 0.01)
-        )
-        # ...but never beyond an even split across the workers...
-        assert auto_chunk_size(8, 4, 1e-6) == 2
-        # ...and expensive points stay one per job.
-        assert auto_chunk_size(100, 4, 10.0) == 1
-        with pytest.raises(ConfigurationError):
-            auto_chunk_size(0, 4, 1.0)
 
 
 class TestWorkerTaskError:

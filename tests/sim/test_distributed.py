@@ -2,9 +2,10 @@
 
 Tier-1 tests run the worker loop in-thread (everything is file-based,
 so a thread is protocol-identical to a remote process and keeps the
-suite fast).  Tier-2 adds real ``python -m repro.worker`` subprocesses
-and SIGKILL fault injection; the cross-backend identity matrix in
-``test_sweep_manifest.py`` carries the distributed axis.
+suite fast).  Tier-2 adds SIGKILL fault injection against a real
+subprocess; the cross-backend identity matrix in
+``test_sweep_manifest.py`` carries the distributed axis with real
+``python -m repro worker`` processes.
 """
 
 import json
@@ -35,7 +36,7 @@ from repro.errors import (
 )
 from repro.service.nutch import NutchConfig
 from repro.sim.backends import (
-    DISTRIBUTED_POINT_CUTOFF_S,
+    EXPENSIVE_POINT_CUTOFF_S,
     auto_backend,
     backend_from_name,
 )
@@ -44,11 +45,9 @@ from repro.sim.distributed import (
     SPOOL_SCHEMA_VERSION,
     DistributedBackend,
     SweepSpool,
-    clear_stop,
     decode_task,
     encode_task,
     register_codec_class,
-    request_stop,
     run_worker,
 )
 from repro.sim.runner import RunnerConfig
@@ -56,6 +55,7 @@ from repro.sim.sweep import (
     ParallelSweepRunner,
     SweepCache,
     SweepSpec,
+    _atomic_write_json,
     _canonical,
 )
 from repro.workloads.generator import GeneratorConfig
@@ -108,6 +108,8 @@ class _WorkerThread:
     """An in-thread spool worker with clean start/stop semantics."""
 
     def __init__(self, spool, **kwargs):
+        if not isinstance(spool, SweepSpool):
+            spool = SweepSpool(spool)
         self.spool = spool
         kwargs.setdefault("poll_interval_s", 0.02)
         self.thread = threading.Thread(
@@ -119,9 +121,9 @@ class _WorkerThread:
         return self
 
     def __exit__(self, *exc):
-        request_stop(self.spool)
+        self.spool.ensure().request_stop()
         self.thread.join(timeout=30)
-        clear_stop(self.spool)
+        self.spool.clear_stop()
         assert not self.thread.is_alive(), "worker thread failed to drain"
 
 
@@ -203,16 +205,19 @@ class TestSpoolProtocol:
         # Idempotent.
         SweepSpool(tmp_path / "spool").ensure()
 
-    def test_version_mismatch_refuses_to_open(self, tmp_path):
+    # Schema 1 jobs carried a ``tasks`` list: a worker of that build
+    # would read a one-point job as empty and report success.
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_mismatch_refuses_to_open(self, tmp_path, version):
         spool = SweepSpool(tmp_path).ensure()
-        spool.meta_path.write_text(json.dumps({"schema_version": 999}))
-        with pytest.raises(SpoolError, match="schema"):
+        spool.meta_path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(SpoolError, match=f"schema {version}"):
             SweepSpool(tmp_path).ensure()
 
     def test_claim_is_exclusive(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
-        spool.submit_job("run-000000", "run", [entry])
+        spool.submit_job("run-000000", "run", entry)
         assert spool.pending_jobs() == ["run-000000"]
         wins = []
         barrier = threading.Barrier(4)
@@ -235,31 +240,31 @@ class TestSpoolProtocol:
     def test_reclaim_stale_redispatches(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
-        spool.submit_job("run-000000", "run", [entry])
+        spool.submit_job("run-000000", "run", entry)
         payload = spool.claim("run-000000")
         # A live same-host claim is not stale.
         assert spool.reclaim_stale("run", lease_s=30.0) == 0
         # Forge abandonment: remote host, heartbeat far past the lease.
         payload["claim"]["host"] = "some-other-host"
         payload["claim"]["heartbeat"] = time.time() - 1e6
-        spool._atomic_write(spool.claims_dir / "run-000000.json", payload)
+        _atomic_write_json(spool.claims_dir / "run-000000.json", payload)
         assert spool.reclaim_stale("run", lease_s=30.0) == 1
         assert spool.pending_jobs() == ["run-000000"]
         assert not (spool.claims_dir / "run-000000.json").exists()
-        # The re-dispatched job carries the original tasks.
+        # The re-dispatched job carries the original task.
         job = json.loads((spool.jobs_dir / "run-000000.json").read_text())
-        assert job["tasks"] == [entry]
+        assert job["task"] == entry
         assert "claim" not in job
 
     def test_reclaim_spares_finished_then_died_worker(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
-        spool.submit_job("run-000000", "run", [entry])
+        spool.submit_job("run-000000", "run", entry)
         payload = spool.claim("run-000000")
-        spool.write_result("run-000000", {"status": "ok", "results": []})
+        spool.write_result("run-000000", {"status": "ok", "result": {}})
         payload["claim"]["host"] = "some-other-host"
         payload["claim"]["heartbeat"] = time.time() - 1e6
-        spool._atomic_write(spool.claims_dir / "run-000000.json", payload)
+        _atomic_write_json(spool.claims_dir / "run-000000.json", payload)
         # Result exists: the claim is dropped, nothing re-dispatched.
         assert spool.reclaim_stale("run", lease_s=30.0) == 0
         assert spool.pending_jobs() == []
@@ -269,9 +274,9 @@ class TestSpoolProtocol:
     def test_cancel_run_scopes_to_the_run_id(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
-        spool.submit_job("aaa-000000", "aaa", [entry])
-        spool.submit_job("bbb-000000", "bbb", [entry])
-        spool.write_result("aaa-000001", {"status": "ok", "results": []})
+        spool.submit_job("aaa-000000", "aaa", entry)
+        spool.submit_job("bbb-000000", "bbb", entry)
+        spool.write_result("aaa-000001", {"status": "ok", "result": {}})
         spool.cancel_run("aaa")
         assert spool.pending_jobs() == ["bbb-000000"]
         assert spool.read_result("aaa-000001") is None
@@ -280,17 +285,17 @@ class TestSpoolProtocol:
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
         # Live claim (this pid) and an expired remote claim.
-        spool.submit_job("run-000000", "run", [entry])
+        spool.submit_job("run-000000", "run", entry)
         live = spool.claim("run-000000")
         assert live is not None
-        spool.submit_job("run-000001", "run", [entry])
+        spool.submit_job("run-000001", "run", entry)
         stale = spool.claim("run-000001")
         stale["claim"]["host"] = "some-other-host"
         stale["claim"]["heartbeat"] = time.time() - 1e6
-        spool._atomic_write(spool.claims_dir / "run-000001.json", stale)
+        _atomic_write_json(spool.claims_dir / "run-000001.json", stale)
         # Live worker presence (this pid) and a dead remote one.
         spool.register_worker()
-        spool._atomic_write(
+        _atomic_write_json(
             spool.workers_dir / "other-host-1.json",
             {"pid": 1, "host": "some-other-host", "heartbeat": 0.0},
         )
@@ -329,11 +334,11 @@ class TestSpoolProtocol:
         assert not orphan.exists()
 
     def test_stop_sentinel_round_trip(self, tmp_path):
-        request_stop(tmp_path)
+        SweepSpool(tmp_path).ensure().request_stop()
         assert SweepSpool(tmp_path).stop_requested()
         # A stopped spool's worker exits without executing anything.
         assert run_worker(tmp_path, poll_interval_s=0.01) == 0
-        clear_stop(tmp_path)
+        SweepSpool(tmp_path).clear_stop()
         assert not SweepSpool(tmp_path).stop_requested()
 
 
@@ -344,7 +349,7 @@ class TestWorkerLoop:
             spool.submit_job(
                 f"run-{i:06d}",
                 "run",
-                [encode_task(i, (_tiny_base(), BasicPolicy()))],
+                encode_task(i, (_tiny_base(), BasicPolicy())),
             )
         executed = run_worker(
             spool, poll_interval_s=0.01, stop_when_idle=True
@@ -355,35 +360,18 @@ class TestWorkerLoop:
         # Presence file removed on exit.
         assert not spool.worker_path().exists()
 
-    def test_max_jobs_bounds_the_loop(self, tmp_path):
-        spool = SweepSpool(tmp_path).ensure()
-        for i in range(3):
-            spool.submit_job(
-                f"run-{i:06d}",
-                "run",
-                [encode_task(i, (_tiny_base(), BasicPolicy()))],
-            )
-        assert run_worker(spool, poll_interval_s=0.01, max_jobs=1) == 1
-        assert len(spool.pending_jobs()) == 2
-
     def test_worker_reports_task_failure_as_error_result(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         spool.submit_job(
             "run-000000",
             "run",
-            [
-                encode_task(0, (_tiny_base(), SpoolExplodingPolicy())),
-                encode_task(1, (_tiny_base(), BasicPolicy())),
-            ],
+            encode_task(0, (_tiny_base(), SpoolExplodingPolicy())),
         )
         run_worker(spool, poll_interval_s=0.01, stop_when_idle=True)
         result = spool.read_result("run-000000")
         assert result["status"] == "error"
-        assert result["index"] == 0
         assert "deliberate spool-point failure" in result["error"]
-        # First failure aborts the rest of the job: no partial
-        # results ride along.
-        assert "results" not in result
+        assert "result" not in result
 
 
 class TestDistributedBackend:
@@ -400,7 +388,7 @@ class TestDistributedBackend:
             wait_timeout_s=0.2,
             poll_interval_s=0.05,
         )
-        with pytest.raises(SpoolError, match="python -m repro.worker"):
+        with pytest.raises(SpoolError, match="python -m repro worker"):
             ParallelSweepRunner(spec, backend=backend).run()
 
     def test_end_to_end_bit_identical_and_clean_spool(self, tmp_path):
@@ -410,9 +398,7 @@ class TestDistributedBackend:
         with _WorkerThread(spool):
             distributed = ParallelSweepRunner(
                 spec,
-                backend=DistributedBackend(
-                    spool, chunk_size=3, poll_interval_s=0.02
-                ),
+                backend=DistributedBackend(spool, poll_interval_s=0.02),
             ).run()
         for point in spec.points():
             assert (
@@ -429,8 +415,9 @@ class TestDistributedBackend:
         self, tmp_path
     ):
         # Grid order puts Basic before the exploding policy, so with a
-        # single in-thread worker and chunk_size=1 the Basic points
-        # finish (and land in the cache) before the failure surfaces.
+        # single in-thread worker and one point per job the Basic
+        # points finish (and land in the cache) before the failure
+        # surfaces.
         spec = _tiny_spec(
             policies=(BasicPolicy(), SpoolExplodingPolicy()),
             arrival_rates=(30.0,),
@@ -472,7 +459,7 @@ class TestDistributedBackend:
         backend = DistributedBackend(
             spool, lease_s=0.5, poll_interval_s=0.02
         )
-        n_jobs = len(spec.points())  # chunk_size=1: one job per point
+        n_jobs = len(spec.points())  # one job per point
 
         def steal_everything():
             # Distinct jobs: the coordinator may reclaim a stolen job
@@ -486,7 +473,7 @@ class TestDistributedBackend:
                         continue
                     payload["claim"]["host"] = "rogue-host"
                     payload["claim"]["heartbeat"] = time.time() - 1e6
-                    spool._atomic_write(
+                    _atomic_write_json(
                         spool.claims_dir / f"{job_id}.json", payload
                     )
                     stolen.add(job_id)
@@ -514,16 +501,43 @@ class TestDistributedBackend:
                 == serial.results[point].metrics_dict()
             )
 
+    def test_reclaimed_counts_every_redispatched_claim(
+        self, tmp_path, monkeypatch
+    ):
+        # One reclaim pass that re-dispatches three claims counts
+        # three.  The worker starts only after that pass, so the
+        # coordinator's first idle pass is sure to reach it.
+        spec = _tiny_spec(
+            policies=(BasicPolicy(),), arrival_rates=(30.0,), seeds=(0,)
+        )
+        spool = SweepSpool(tmp_path / "spool")
+        backend = DistributedBackend(spool, poll_interval_s=0.02)
+        worker = _WorkerThread(spool)
+        real_reclaim = spool.reclaim_stale
+
+        def reclaim_stale(run_id, lease_s):
+            if worker.thread.is_alive():
+                return real_reclaim(run_id, lease_s)
+            worker.__enter__()
+            return 3
+
+        monkeypatch.setattr(spool, "reclaim_stale", reclaim_stale)
+        try:
+            ParallelSweepRunner(spec, backend=backend).run()
+        finally:
+            if worker.thread.is_alive():
+                worker.__exit__(None, None, None)
+        assert backend.reclaimed == 3
+
 
 class TestRoutingAndWiring:
     def test_backend_from_name_requires_spool(self, tmp_path):
         with pytest.raises(ConfigurationError, match="spool"):
             backend_from_name("distributed")
         backend = backend_from_name(
-            "distributed", spool=tmp_path, chunk_size=4, wait_workers=2
+            "distributed", spool=tmp_path, wait_workers=2
         )
         assert backend.name == "distributed"
-        assert backend.chunk_size == 4
         assert backend.wait_workers == 2
 
     def test_runner_requires_spool_for_distributed(self):
@@ -531,7 +545,7 @@ class TestRoutingAndWiring:
             ParallelSweepRunner(_tiny_spec(), backend="distributed")
 
     def test_auto_routes_expensive_grids_to_the_spool(self, tmp_path):
-        expensive = DISTRIBUTED_POINT_CUTOFF_S * 10
+        expensive = EXPENSIVE_POINT_CUTOFF_S * 10
         backend = auto_backend(
             n_tasks=16,
             workers=4,
@@ -541,13 +555,9 @@ class TestRoutingAndWiring:
         )
         assert backend.name == "distributed"
         assert backend.wait_workers == 2
-        # The auto chunk amortises the *network* tax, not spawn: at
-        # est >= cutoff a single point already dwarfs the dispatch
-        # write, so points ship unbatched.
-        assert backend.chunk_size == 1
 
     def test_auto_keeps_cheap_grids_local(self, tmp_path):
-        cheap = DISTRIBUTED_POINT_CUTOFF_S / 100
+        cheap = EXPENSIVE_POINT_CUTOFF_S / 100
         assert (
             auto_backend(
                 n_tasks=16, workers=4, est_cost_s=cheap, spool=tmp_path
@@ -559,7 +569,7 @@ class TestRoutingAndWiring:
             auto_backend(
                 n_tasks=1,
                 workers=4,
-                est_cost_s=DISTRIBUTED_POINT_CUTOFF_S * 10,
+                est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 10,
                 spool=tmp_path,
             ).name
             != "distributed"
@@ -569,7 +579,7 @@ class TestRoutingAndWiring:
             auto_backend(
                 n_tasks=16,
                 workers=4,
-                est_cost_s=DISTRIBUTED_POINT_CUTOFF_S * 10,
+                est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 10,
             ).name
             != "distributed"
         )
@@ -577,28 +587,45 @@ class TestRoutingAndWiring:
 
 class TestWorkerCLI:
     def test_stop_flag_writes_sentinel(self, tmp_path, capsys):
-        from repro.worker import main
-
-        assert main([str(tmp_path), "--stop"]) == 0
-        assert SweepSpool(tmp_path).stop_requested()
-        assert main([str(tmp_path), "--clear-stop"]) == 0
-        assert not SweepSpool(tmp_path).stop_requested()
-
-    def test_stop_when_idle_run_exits_zero(self, tmp_path, capsys):
-        from repro.worker import main
-
-        assert main([str(tmp_path), "--stop-when-idle"]) == 0
-        assert "0 job(s)" in capsys.readouterr().out
-
-    def test_repro_cli_worker_subcommand(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["worker", str(tmp_path), "--stop"]) == 0
         assert SweepSpool(tmp_path).stop_requested()
-        assert (
-            main(["worker", str(tmp_path), "--stop-when-idle"]) == 0
-        )
+        assert main(["worker", str(tmp_path), "--clear-stop"]) == 0
+        assert not SweepSpool(tmp_path).stop_requested()
+
+    def test_stop_when_idle_run_exits_zero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["worker", str(tmp_path), "--stop-when-idle"]) == 0
         assert "0 job(s)" in capsys.readouterr().out
+
+    def test_repro_cli_worker_subcommand(self, tmp_path, capsys):
+        # A plain worker started on a stopped spool exits at once.
+        from repro.cli import main
+
+        assert main(["worker", str(tmp_path), "--stop"]) == 0
+        assert main(["worker", str(tmp_path)]) == 0
+        assert "0 job(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--poll-interval", "1"), ("--lease", "5"), ("--max-jobs", "1")],
+        ids=["--poll-interval", "--lease", "--max-jobs"],
+    )
+    def test_worker_tuning_flags_are_usage_errors(
+        self, flag, value, tmp_path, capsys
+    ):
+        # The coordinator's lease is DEFAULT_LEASE_S; a worker flag
+        # could only make the two disagree.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["worker", str(tmp_path), flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep_cli_distributed_requires_spool(self):
         from repro.cli import main

@@ -384,10 +384,6 @@ class TestParallelExecution:
         with pytest.raises(ConfigurationError):
             ParallelSweepRunner(_tiny_spec(), workers=0)
 
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ParallelSweepRunner(_tiny_spec(), workers=2, chunk_size=0)
-
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="ssh"):
             ParallelSweepRunner(_tiny_spec(), workers=2, backend="ssh")
@@ -416,7 +412,7 @@ class TestParallelExecution:
 
 
 class TestWorkerValidationCLI:
-    """CLI arg-parser side of the workers/chunk-size validation."""
+    """CLI arg-parser side of the workers/backend validation."""
 
     @pytest.mark.parametrize("command", ["sweep", "fig5", "fig6", "fig7"])
     def test_workers_zero_is_a_usage_error(self, command, capsys):
@@ -427,21 +423,13 @@ class TestWorkerValidationCLI:
         assert exit_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_chunk_size_zero_is_a_usage_error(self, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--chunk-size", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
-
     def test_valid_backend_args_parse(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["sweep", "--workers", "3", "--backend", "process",
-             "--chunk-size", "2"]
+            ["sweep", "--workers", "3", "--backend", "process"]
         )
-        assert (args.workers, args.backend, args.chunk_size) == (3, "process", 2)
+        assert (args.workers, args.backend) == (3, "process")
 
     @pytest.mark.parametrize("command", ["sweep", "fig5", "fig6", "fig7"])
     def test_thread_backend_is_a_usage_error(self, command, capsys):
@@ -452,9 +440,10 @@ class TestWorkerValidationCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fig5", "fig6", "fig7"])
-    def test_chunk_size_is_sweep_only(self, command, capsys):
-        # Chunks size spool jobs, and only sweep reaches the spool.
+    @pytest.mark.parametrize("command", ["sweep", "fig5", "fig6", "fig7"])
+    def test_chunk_size_is_a_usage_error(self, command, capsys):
+        # Local processes and spool jobs both carry one point each;
+        # no command takes a chunk size.
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:

@@ -429,7 +429,7 @@ class TestCrossBackendIdentity:
 
     def test_distributed_bit_identical(self, grid, serial, tmp_path):
         # The spool axis: a coordinator plus two out-of-process
-        # ``python -m repro.worker`` processes must reproduce the serial
+        # ``python -m repro worker`` processes must reproduce the serial
         # grid byte for byte, and the aggregate over the
         # coordinator-side cache agrees too.
         import os
@@ -438,7 +438,7 @@ class TestCrossBackendIdentity:
         from pathlib import Path
 
         import repro
-        from repro.sim.distributed import request_stop
+        from repro.sim.distributed import SweepSpool
 
         spool = tmp_path / "spool"
         cache_dir = tmp_path / "cache"
@@ -453,7 +453,7 @@ class TestCrossBackendIdentity:
         )
         procs = [
             subprocess.Popen(
-                [sys.executable, "-m", "repro.worker", str(spool)],
+                [sys.executable, "-m", "repro", "worker", str(spool)],
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
                 env=env,
@@ -467,10 +467,9 @@ class TestCrossBackendIdentity:
                 backend="distributed",
                 spool=spool,
                 wait_workers=2,
-                chunk_size=1,
             ).run()
         finally:
-            request_stop(spool)
+            SweepSpool(spool).ensure().request_stop()
             for proc in procs:
                 try:
                     proc.wait(timeout=30)
