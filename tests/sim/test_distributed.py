@@ -271,6 +271,56 @@ class TestSpoolProtocol:
         assert not (spool.claims_dir / "run-000000.json").exists()
         assert spool.read_result("run-000000") is not None
 
+    def test_dead_local_claim_is_stale_to_reclaim_and_gc(self, tmp_path):
+        # One staleness rule serves both callers: a same-host claim
+        # whose pid is gone is stale at once, fresh heartbeat or not,
+        # and a remote claim with a fresh heartbeat is not.
+        spool = SweepSpool(tmp_path).ensure()
+        entry = encode_task(0, (_tiny_base(), BasicPolicy()))
+
+        def forge(job_id, **claim):
+            spool.submit_job(job_id, job_id.partition("-")[0], entry)
+            payload = spool.claim(job_id)
+            payload["claim"].update(claim, heartbeat=time.time())
+            _atomic_write_json(spool.claims_dir / f"{job_id}.json", payload)
+
+        for run_id in ("aaa", "bbb"):
+            forge(f"{run_id}-000000", pid=999999999)  # this host, pid gone
+            forge(f"{run_id}-000001", host="some-other-host")
+
+        assert spool.reclaim_stale("aaa", lease_s=30.0) == 1
+        assert spool.pending_jobs() == ["aaa-000000"]
+        removed = spool.gc(lease_s=30.0)
+        assert [p.name for p in removed] == ["bbb-000000.json"]
+        assert sorted(p.stem for p in spool.claims_dir.glob("*.json")) == [
+            "aaa-000001",
+            "bbb-000001",
+        ]
+
+    def test_live_workers_and_gc_share_the_liveness_rule(self, tmp_path):
+        # Same-host presence is judged by pid, remote presence by
+        # heartbeat; a worker counts as live exactly when gc spares it.
+        spool = SweepSpool(tmp_path).ensure()
+        host = json.loads(spool.register_worker().read_text())["host"]
+        now = time.time()
+        records = {
+            "dead-local": {"pid": 999999999, "host": host, "heartbeat": now},
+            "beating-remote": {
+                "pid": 1, "host": "some-other-host", "heartbeat": now,
+            },
+            "silent-remote": {
+                "pid": 1, "host": "some-other-host", "heartbeat": now - 1e6,
+            },
+        }
+        for name, record in records.items():
+            _atomic_write_json(spool.workers_dir / f"{name}.json", record)
+
+        assert spool.live_workers(lease_s=30.0) == 2
+        removed = spool.gc(lease_s=30.0)
+        assert {p.stem for p in removed} == {"dead-local", "silent-remote"}
+        assert spool.worker_path().exists()
+        assert spool.live_workers(lease_s=30.0) == 2
+
     def test_cancel_run_scopes_to_the_run_id(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
@@ -371,6 +421,30 @@ class TestWorkerLoop:
         result = spool.read_result("run-000000")
         assert result["status"] == "error"
         assert "deliberate spool-point failure" in result["error"]
+        assert "result" not in result
+
+    def test_job_without_a_task_is_an_error_result(self, tmp_path):
+        # A schema-1 job carried a ``tasks`` list.  A worker that finds
+        # no ``task`` reports an error, never an empty success that
+        # would leave the coordinator waiting.
+        spool = SweepSpool(tmp_path).ensure()
+        entry = encode_task(0, (_tiny_base(), BasicPolicy()))
+        _atomic_write_json(
+            spool.jobs_dir / "run-000000.json",
+            {
+                "schema_version": 1,
+                "run_id": "run",
+                "job_id": "run-000000",
+                "tasks": [entry],
+            },
+        )
+        executed = run_worker(
+            spool, poll_interval_s=0.01, stop_when_idle=True
+        )
+        assert executed == 1
+        result = spool.read_result("run-000000")
+        assert result["status"] == "error"
+        assert "missing its config/policy payload" in result["error"]
         assert "result" not in result
 
 

@@ -20,6 +20,7 @@ from repro.sim.sweep import (
     ParallelSweepRunner,
     SweepCache,
     SweepSpec,
+    _atomic_write_json,
     point_cache_key,
 )
 
@@ -324,6 +325,34 @@ class TestCorruptionAndAtomicity:
         # Resuming serves the intact entry from cache.
         rerun = ParallelSweepRunner(spec, workers=1, cache=cache).run()
         assert rerun.cache_hits == spec.n_points
+
+    def test_same_process_writers_of_one_path_never_collide(
+        self, tmp_path, monkeypatch
+    ):
+        """Two writers of one file in one process (two sweeps storing
+        the same point, a spool claim under heartbeat) each get their
+        own temp file, so neither rename loses its source."""
+        import os
+
+        target = tmp_path / "point.json"
+        real_replace = os.replace
+        interleaved = []
+
+        def interleaving_replace(src, dst):
+            # Just before the outer writer renames, a second writer of
+            # the same path runs start to finish.
+            if not interleaved:
+                interleaved.append(True)
+                _atomic_write_json(target, {"writer": "inner"})
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaving_replace)
+        _atomic_write_json(target, {"writer": "outer"})
+        monkeypatch.undo()
+
+        assert interleaved
+        assert json.loads(target.read_text()) == {"writer": "outer"}
+        assert list(tmp_path.glob("*.tmp-*")) == []
 
 
 @pytest.mark.tier2
