@@ -302,8 +302,11 @@ def _measure_hier_point(args: Tuple[int, int, Fig7Config]) -> Fig7Point:
 
 #: Coarse wall-clock calibration for one performance-matrix cell per
 #: timing repeat (build + greedy amortised) — only has to rank a grid
-#: point against the worker spawn tax.
-SCHED_WALL_S_PER_CELL = 2e-5
+#: point against the worker spawn tax.  Measured with the default
+#: config on a 2-vCPU x86-64 host: the flat 640×128 point took
+#: 0.95–1.22e-6 s a cell (3 runs; 0.23–0.30 s for its three repeats),
+#: the 2560×128 hierarchical one 0.80–1.00e-6.
+SCHED_WALL_S_PER_CELL = 1.2e-6
 
 
 def point_cost_estimate_s(cfg: Fig7Config) -> float:
@@ -330,9 +333,10 @@ def run_fig7(
     Keep ``workers=1`` (the default) for paper-faithful timings:
     co-scheduled points steal cycles from each other.  The default
     ``backend=None`` goes through the cost-aware ``auto`` rule with
-    :func:`point_cost_estimate_s`; the paper-sized grid estimates well
-    past the spawn-tax cutoff, so ``workers > 1`` spawns processes,
-    while a small grid of cheap points runs inline.
+    :func:`point_cost_estimate_s`: the paper-sized grid's costliest
+    point estimates at about 0.4 s, under the spawn-tax cutoff, so even
+    ``workers > 1`` runs its few points inline; name ``backend`` to
+    force processes.
     """
     cfg = config or Fig7Config()
     est = point_cost_estimate_s(cfg)

@@ -141,14 +141,29 @@ class InterferenceModel:
 
         Contention is clipped to capacity before normalisation, matching
         what a component can physically observe.
+
+        The clip and the division iterate resource by resource (the
+        transposed view in C order): broadcasting the ``(4,)`` capacity
+        over the rows would run numpy's inner loop four elements at a
+        time.  Every element sees the operations of
+        ``1 + (norm + curvature·norm·norm) @ b`` in that order, and
+        ``norm`` keeps the layout of ``u``, so the result is that
+        expression's bit for bit.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.ndim != 2 or u.shape[1] != 4:
             raise ConfigurationError(f"expected (n, 4) contention, got {u.shape}")
         coeff = self.coefficients_for(cls)
-        norm = np.clip(u, 0.0, self._cap_array) / self._cap_array
-        penalty = norm + coeff.curvature * norm * norm
-        return 1.0 + penalty @ coeff.as_array()
+        norm = np.empty_like(u)
+        cap = self._cap_array[:, None]
+        np.clip(u.T, 0.0, cap, out=norm.T, order="C")
+        np.divide(norm.T, cap, out=norm.T, order="C")
+        penalty = norm * coeff.curvature
+        penalty *= norm
+        penalty += norm
+        out = penalty @ coeff.as_array()
+        out += 1.0
+        return out
 
     def noisy_inflation(
         self,

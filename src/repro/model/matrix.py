@@ -23,17 +23,27 @@ computes ``(L, R)`` for a block of rows × target nodes from exactly
 those latencies:
 
 - each row's node-mates under ``U − U_{c_i}``, in one class-batched
-  predictor and Eq. 2 call;
+  predictor and Eq. 2 call.  Only the row's own group and groups spread
+  over several nodes depend on the target; the other groups on the
+  origin enter once per row, as per-stage maxima the matrix keeps until
+  a migration touches the row's node;
 - every component on a target under ``U + U_{c_i}``, in one such call;
 - the row itself on each target, from the arrival means predicted once
   per allocation.
 
-A stage's new maximum is the larger of the touched groups' new means
+A stage's new maximum is the largest of the touched groups' new means
 and a per-allocation table that holds, for every pair of nodes, the
 best base group mean among the groups on neither.  ``build("fast")``
 runs the kernel over row chunks of at most :data:`BLOCK_PAIRS` pairs;
 Algorithm 2's update runs it once for the candidates on the two moved
-nodes and once for the other candidates' two moved columns.
+nodes and once for the other candidates' two moved columns, where
+those candidates' kept origin maxima stand in for their node-mates.
+
+Inputs are validated once, when the matrix is constructed (Eq. 2's
+SCVs, arrival rates and ``rho_max``); afterwards only the predicted
+means are checked, on every predictor call.  The kernel's large arrays
+live in buffers the matrix owns and reuses across chunks and updates
+(see :class:`PerformanceMatrix`).
 
 Exactness: every entry equals :meth:`PerformanceMatrix.entry`, the
 one-cell reading of the table above, to rtol 1e-10;
@@ -50,13 +60,15 @@ latency reduction — because Algorithm 1 line 7 breaks ties on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError, SchedulingError
+from repro.errors import ModelError, SchedulingError, UnstableQueueError
 from repro.model.predictor import LatencyPredictor
+from repro.model.queueing import mg1_latency_unchecked
 from repro.model.service_latency import (
     exits_from_predecessors,
     stage_offsets,
@@ -67,8 +79,12 @@ from repro.service.component import ComponentClass
 __all__ = ["MatrixInputs", "PerformanceMatrix"]
 
 #: Cap on one kernel chunk's rows × (target components + targets): the
-#: build's contention batch stays this size whatever m is.
-BLOCK_PAIRS = 1 << 15
+#: build's contention batch stays this size whatever m is.  At 640×128
+#: (21 rows a chunk) the predictor's temporaries stay small enough for
+#: the allocator to recycle: 1 << 15 re-faulted ~7.5k pages a build,
+#: this ~0.7k, and the build's median CPU time fell in 4 of 4
+#: alternating runs (2-vCPU x86-64 host, oracle predictor).
+BLOCK_PAIRS = 1 << 14
 
 
 @dataclass
@@ -312,8 +328,36 @@ class MatrixInputs:
         )
 
 
+class _Targets(NamedTuple):
+    """The target-side index work of one fill, shared by its row chunks."""
+
+    nodes: np.ndarray  # the target nodes
+    comps: np.ndarray  # components on them, node by node in index order
+    contention: np.ndarray  # (4, len(comps)): their current contention
+    cells: np.ndarray  # their cells, in the same order
+    cell_pos: np.ndarray  # position in ``cells`` of every cell, or -1
+    seg_t: np.ndarray  # per (target, stage) run of cells: the target,
+    seg_s: np.ndarray  # the stage,
+    seg: np.ndarray  # and the run's first cell
+
+
 class PerformanceMatrix:
-    """Builds and incrementally maintains ``L`` (and the tie-break ``R``)."""
+    """Builds and incrementally maintains ``L`` (and the tie-break ``R``).
+
+    Validation happens once, at construction: the predictor's SCVs must
+    be non-negative, its ``rho_max`` in (0, 1) and the arrival rates
+    non-negative.  Eq. 2 then runs unchecked
+    (:func:`~repro.model.queueing.mg1_latency_unchecked`), and only the
+    mean service times are checked on every predictor call, since they
+    are the one input the matrix does not control.
+
+    The kernel's large arrays (the target contention tensor, its Eq. 2
+    latencies and scratch, the stage maxima) live in buffers this object
+    owns: every row chunk and every Algorithm 2 update writes into the
+    same memory instead of allocating it afresh, so a decision does not
+    return its working set to the OS between chunks and fault it back
+    in.  The buffers carry nothing from one call to the next.
+    """
 
     def __init__(self, inputs: MatrixInputs, predictor: LatencyPredictor) -> None:
         self.inputs = inputs
@@ -327,15 +371,19 @@ class PerformanceMatrix:
         self._group_offsets = stage_offsets(group_of)
         group_counts = np.diff(np.append(self._group_offsets, m))
         self._group_sizes = group_counts.astype(np.float64)
+        # A group of one component has that component's latency as its
+        # mean, so the kernel skips the group sums.
+        self._singletons = bool(np.all(group_counts == 1))
         self._stage_offsets_groups = stage_offsets(
             inputs.stage_of[self._group_offsets]
         )
         n_groups = self._group_offsets.size
+        n_stages = self._stage_offsets_groups.size
         # Group ordinal (0..G-1) of every component, stage ordinal
         # (0..S-1) of every group.
         self._group_ordinal = np.repeat(np.arange(n_groups), group_counts)
         self._group_stage = np.repeat(
-            np.arange(self._stage_offsets_groups.size),
+            np.arange(n_stages),
             np.diff(np.append(self._stage_offsets_groups, n_groups)),
         )
         # DAG topologies compose stage maxima along the critical path;
@@ -367,7 +415,28 @@ class PerformanceMatrix:
         self._class_id = np.array(
             [index[cls] for cls in inputs.classes], dtype=np.int64
         )
+        # Eq. 2's inputs, checked here once for every later evaluation.
         self._scv = np.array([predictor.scv(cls) for cls in self._classes])
+        self._rho_max = float(predictor.rho_max)
+        if not 0 < self._rho_max < 1:
+            raise UnstableQueueError(
+                f"rho_max must be in (0, 1), got {self._rho_max}"
+            )
+        if np.any(self._scv < 0):
+            raise UnstableQueueError("scv must be >= 0")
+        if np.any(inputs.arrival_rates < 0):
+            raise UnstableQueueError("arrival rates must be >= 0")
+        # The cell of each (group, node), or -1; _refresh_base resets
+        # only the entries of the cells it replaces.
+        self._cell_of = np.full((n_groups, inputs.k), -1, dtype=np.int64)
+        self._cell_group = self._cell_node = np.empty(0, dtype=np.int64)
+        # Per row, the stage maxima of the groups wholly on its node
+        # other than its own, under U − U_ci.  They depend only on the
+        # row's node, so a migration leaves them valid for every row
+        # on any other node (_origin_known).
+        self._origin_max = np.empty((m, n_stages))
+        self._origin_known = np.zeros(m, dtype=bool)
+        self._scratch: Dict[str, np.ndarray] = {}
         self.L: Optional[np.ndarray] = None
         self.R: Optional[np.ndarray] = None
         self._refresh_base()
@@ -381,30 +450,57 @@ class PerformanceMatrix:
         u = inp.node_totals[inp.assignment] - inp.demands
         return np.maximum(u, 0.0)
 
-    def _latencies(self, comps: np.ndarray, contention: np.ndarray) -> np.ndarray:
+    def _buf(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """Scratch array of ``shape`` over the buffer ``name``, which
+        grows to the largest request and serves every later one."""
+        size = math.prod(shape)
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size:
+            buf = self._scratch[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _predict(self, c: int, contention: np.ndarray) -> np.ndarray:
+        """Mean service times of class ``c``, which must be positive."""
+        means = self.predictor.predict_mean_service(self._classes[c], contention)
+        if np.any(means <= 0):
+            raise UnstableQueueError("mean service times must be positive")
+        return means
+
+    def _latencies(
+        self,
+        comps: np.ndarray,
+        contention: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Eq. 2 latency of each component of ``comps`` under the matching
         row of ``contention``; ``comps`` broadcasts against
         ``contention.shape[:-1]``, the shape of the result.
 
         The one pair-latency evaluation behind the base state, the
         kernel and :meth:`entry`: one predictor call per class present.
+        ``out`` (single-class only) receives the result, with Eq. 2's
+        scratch in the ``eq2`` buffer.
         """
-        pred = self.predictor
         shape = contention.shape[:-1]
         lam = self.inputs.arrival_rates[comps]
         if len(self._classes) == 1:
-            means = pred.predict_mean_service(
-                self._classes[0], contention.reshape(-1, 4)
-            ).reshape(shape)
-            return _mg1(means, self._scv[0], lam, pred.rho_max)
+            means = self._predict(0, contention.reshape(-1, 4)).reshape(shape)
+            scratch = None if out is None else self._buf("eq2", shape)
+            return mg1_latency_unchecked(
+                means, self._scv[0], lam, self._rho_max, out, scratch
+            )
         out = np.empty(shape, dtype=np.float64)
         ids = np.broadcast_to(self._class_id[comps], shape)
         lam = np.broadcast_to(lam, shape)
-        for c, cls in enumerate(self._classes):
+        for c in range(len(self._classes)):
             sel = ids == c
             if sel.any():
-                means = pred.predict_mean_service(cls, contention[sel])
-                out[sel] = _mg1(means, self._scv[c], lam[sel], pred.rho_max)
+                out[sel] = mg1_latency_unchecked(
+                    self._predict(c, contention[sel]),
+                    self._scv[c],
+                    lam[sel],
+                    self._rho_max,
+                )
         return out
 
     def _compose(self, stage_max: np.ndarray) -> np.ndarray:
@@ -455,7 +551,15 @@ class PerformanceMatrix:
     def _refresh_base(self) -> None:
         """Base latencies and objective, then the per-allocation tables
         the kernel reads: cells, the untouched-group table and the
-        arrival means."""
+        arrival means.
+
+        The base latencies and arrival means are predicted for every
+        component and node in one batch, as at construction: a batch of
+        one row takes numpy's dot-product path, whose rounding differs
+        from the matrix-vector path, and the overall latency before and
+        after a decision must not depend on how many components a
+        migration touched.
+        """
         inp = self.inputs
         m, k = inp.m, inp.k
         self._u_now = self._contention_now()
@@ -476,27 +580,32 @@ class PerformanceMatrix:
         groups = self._group_ordinal[self._by_node]
         self._node_count = np.bincount(nodes, minlength=k)
         self._node_start = _starts(self._node_count)
-        first = np.flatnonzero(
-            np.r_[True, (nodes[1:] != nodes[:-1]) | (groups[1:] != groups[:-1])]
-        )
+        first = _run_starts(nodes, groups)
+        self._cell_of[self._cell_group, self._cell_node] = -1
+        self._cell_first = first
         self._cell_node = nodes[first]
         self._cell_group = groups[first]
         self._cell_size = np.diff(np.append(first, m))
+        self._cell_of[self._cell_group, self._cell_node] = np.arange(first.size)
+        # A cell spans when its group also has members on other nodes.
+        self._cell_spans = self._cell_size < self._group_sizes[self._cell_group]
+        self._any_span = bool(self._cell_spans.any())
+        self._comp_cell = np.empty(m, dtype=np.int64)
+        self._comp_cell[self._by_node] = np.repeat(
+            np.arange(first.size), self._cell_size
+        )
         self._node_cells = np.bincount(self._cell_node, minlength=k)
         self._node_cell_start = _starts(self._node_cells)
         # Base sum of each cell, and of the rest of its group.
         self._cell_sum = np.add.reduceat(self.base_latencies[self._by_node], first)
         self._cell_rest = group_sums[self._cell_group] - self._cell_sum
-        # The cell of each (group, node), or -1.
-        self._cell_of = np.full((self._group_sizes.size, k), -1, dtype=np.int64)
-        self._cell_of[self._cell_group, self._cell_node] = np.arange(first.size)
         self._untouched = self._untouched_table()
         # Mean service time of a new arrival on every node (Table III
         # row 1), per class.
         self._arrival_means = np.stack(
             [
-                self.predictor.predict_mean_service(cls, inp.node_totals)
-                for cls in self._classes
+                self._predict(c, inp.node_totals)
+                for c in range(len(self._classes))
             ]
         )
 
@@ -513,16 +622,15 @@ class PerformanceMatrix:
         means = self._base_group_means
         offsets = self._stage_offsets_groups
         counts = np.diff(np.append(offsets, means.size))
-        touch = self._cell_of >= 0
         ranked = np.lexsort((-means, self._group_stage))
         best = ranked[offsets]
-        free = ~touch[best].T
-        table = np.where(
-            free[:, None, :] & free[None, :, :], means[best], -np.inf
-        )
+        touch = self._cell_of[best] >= 0
+        table = np.empty((k, k, offsets.size))
+        for s, free in enumerate(~touch):
+            table[:, :, s] = np.where(free[:, None] & free, means[best[s]], -np.inf)
         # The pairs each stage's best group touches: its nodes' rows
         # and columns (a pair on two such nodes comes twice; harmless).
-        s, node = np.nonzero(~free.T)
+        s, node = np.nonzero(touch)
         s = np.tile(np.repeat(s, k), 2)
         o = np.concatenate([np.repeat(node, k), np.tile(np.arange(k), node.size)])
         t = np.concatenate([np.tile(np.arange(k), node.size), np.repeat(node, k)])
@@ -532,15 +640,10 @@ class PerformanceMatrix:
             if s.size == 0:
                 break
             g = ranked[offsets[s] + rank]
-            hit = ~(touch[g, o] | touch[g, t])
+            hit = (self._cell_of[g, o] < 0) & (self._cell_of[g, t] < 0)
             table[o[hit], t[hit], s[hit]] = means[g[hit]]
             s, o, t = s[~hit], o[~hit], t[~hit]
         return table
-
-    @property
-    def current_latencies(self) -> np.ndarray:
-        """Predicted per-component latency under the current allocation."""
-        return self.base_latencies.copy()
 
     @property
     def current_overall(self) -> float:
@@ -591,93 +694,181 @@ class PerformanceMatrix:
     # ------------------------------------------------------------------
     # the kernel
     # ------------------------------------------------------------------
+    def _targets(self, targets: np.ndarray) -> _Targets:
+        """Index work that depends only on the target nodes."""
+        comps = self._by_node[
+            _ranges(self._node_start[targets], self._node_count[targets])
+        ]
+        cells = _ranges(self._node_cell_start[targets], self._node_cells[targets])
+        cell_pos = np.full(self._cell_size.size, -1, dtype=np.int64)
+        cell_pos[cells] = np.arange(cells.size)
+        seg_t, seg_s, seg = _segments(
+            np.repeat(np.arange(targets.size), self._node_cells[targets]),
+            self._group_stage[self._cell_group[cells]],
+        )
+        return _Targets(
+            targets, comps, self._u_now[comps].T.copy(), cells, cell_pos,
+            seg_t, seg_s, seg,
+        )
+
+    def _self_latencies(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Each row's latency on each target at the target's arrival
+        mean (Table III row 1)."""
+        lam = self.inputs.arrival_rates[rows][:, None]
+        if len(self._classes) == 1:
+            return mg1_latency_unchecked(
+                self._arrival_means[0, targets], self._scv[0], lam, self._rho_max
+            )
+        cls = self._class_id[rows]
+        return mg1_latency_unchecked(
+            self._arrival_means[cls[:, None], targets],
+            self._scv[cls][:, None],
+            lam,
+            self._rho_max,
+        )
+
+    def _plus_latencies(self, rows: np.ndarray, tg: _Targets) -> np.ndarray:
+        """``(rows, components on the targets)``: each component's
+        latency with the row's demand added to its contention (Table III
+        row 3), in the ``contention`` and ``l_plus`` buffers."""
+        demand = self.inputs.demands[rows]
+        shape = (rows.size, tg.comps.size)
+        contention = self._buf("contention", shape + (4,))
+        for r in range(4):
+            np.add.outer(demand[:, r], tg.contention[r], out=contention[..., r])
+        return self._latencies(tg.comps, contention, out=self._buf("l_plus", shape))
+
+    def _origin_side(self, rows: np.ndarray, l_self: np.ndarray):
+        """The origin cells whose mean depends on the target — each row's
+        own, and those of groups spread over several nodes — as
+        ``(cells, their row, numerators per target)``, the group's rest
+        included.  Every other cell on a row's node enters
+        ``_origin_max`` instead, computed for the rows not known since
+        their node last changed."""
+        inp = self.inputs
+        origin = inp.assignment[rows]
+        demand = inp.demands[rows]
+        own = self._comp_cell[rows]
+        if self._any_span:
+            n_cells = self._node_cells[origin]
+            o_cells = _ranges(self._node_cell_start[origin], n_cells)
+            o_row = np.repeat(np.arange(rows.size), n_cells)
+            dyn = (o_cells == own[o_row]) | self._cell_spans[o_cells]
+            d_cells, d_row = o_cells[dyn], o_row[dyn]
+        else:
+            d_cells, d_row = own, np.arange(rows.size)
+        cold = np.flatnonzero(~self._origin_known[rows])
+        n_cells = self._node_cells[origin[cold]]
+        s_cells = _ranges(self._node_cell_start[origin[cold]], n_cells)
+        s_row = np.repeat(cold, n_cells)
+        keep = (s_cells != own[s_row]) & ~self._cell_spans[s_cells]
+        s_cells, s_row = s_cells[keep], s_row[keep]
+        # Node-mates under U − U_ci: the cold rows' other cells, then the
+        # target-dependent cells' members other than the row itself.
+        s_size, d_size = self._cell_size[s_cells], self._cell_size[d_cells]
+        s_comp = self._by_node[_ranges(self._cell_first[s_cells], s_size)]
+        d_comp = self._by_node[_ranges(self._cell_first[d_cells], d_size)]
+        d_mrow = np.repeat(d_row, d_size)
+        mate = d_comp != rows[d_mrow]
+        e_comp = np.concatenate([s_comp, d_comp[mate]])
+        e_row = np.concatenate([np.repeat(s_row, s_size), d_mrow[mate]])
+        if e_comp.size:
+            l_minus = self._latencies(
+                e_comp, np.maximum(self._u_now[e_comp] - demand[e_row], 0.0)
+            )
+        self._origin_max[rows[cold]] = -np.inf
+        if s_cells.size:
+            s_group = self._cell_group[s_cells]
+            s_num = np.add.reduceat(l_minus[: s_comp.size], _starts(s_size))
+            s_num += self._cell_rest[s_cells]
+            seg_r, seg_s, seg = _segments(s_row, self._group_stage[s_group])
+            self._origin_max[rows[seg_r], seg_s] = np.maximum.reduceat(
+                s_num / self._group_sizes[s_group], seg
+            )
+        self._origin_known[rows[cold]] = True
+        o_vals = np.empty((d_comp.size, l_self.shape[1]))
+        if mate.any():
+            o_vals[mate] = l_minus[s_comp.size :, None]
+        o_vals[~mate] = l_self
+        o_num = np.add.reduceat(o_vals, _starts(d_size), axis=0)
+        o_num += self._cell_rest[d_cells][:, None]
+        return d_cells, d_row, o_num
+
     def _block(
-        self, rows: np.ndarray, targets: np.ndarray
+        self, rows: np.ndarray, tg: _Targets
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(L, R)`` of migrating each of ``rows`` to each of ``targets``.
+        """``(L, R)`` of migrating each of ``rows`` to each target of ``tg``.
 
         Table III changes latencies only on the origin and the target
         node, so only groups touching one of them get a new mean:
 
         - origin groups: members on the origin under ``U − U_ci`` (one
           latency per row and member), the migrating component at the
-          target's arrival mean;
+          target's arrival mean.  Only the row's own cell and cells of
+          groups spread over several nodes depend on the target; every
+          other cell on the origin enters once per row, as a per-stage
+          maximum kept until the row's node changes;
         - target groups: members on the target under ``U + U_ci`` (one
           latency per row and component on any target);
         - the rest of a group keeps its base sum, so a group spread over
           both nodes takes both deltas and counts on the origin side.
 
-        Each stage's maximum is the larger of those new means and the
+        Each stage's maximum is the largest of those new means and the
         untouched-group table.  A group wholly on one node sums its
         members in index order, as a full recomputation does, so such
         entries equal it bit for bit.
         """
         inp = self.inputs
+        targets = tg.nodes
         n_rows, n_targets = rows.size, targets.size
         origin = inp.assignment[rows]
-        demand = inp.demands[rows]
-        cls = self._class_id[rows]
-        l_self = _mg1(
-            self._arrival_means[cls][:, targets],
-            self._scv[cls][:, None],
-            inp.arrival_rates[rows][:, None],
-            self.predictor.rho_max,
-        )
+        l_self = self._self_latencies(rows, targets)
+        l_plus = self._plus_latencies(rows, tg)
+        if not self._singletons:
+            t_sum = np.add.reduceat(
+                l_plus, _starts(self._cell_size[tg.cells]), axis=1
+            )
+            t_num = t_sum + self._cell_rest[tg.cells]
+        d_cells, d_row, o_num = self._origin_side(rows, l_self)
 
-        # Origin side, one entry per (row, cell on the row's node).
-        o_count = self._node_count[origin]
-        o_comp = self._by_node[_ranges(self._node_start[origin], o_count)]
-        o_row = np.repeat(np.arange(n_rows), o_count)
-        l_minus = self._latencies(
-            o_comp, np.maximum(self._u_now[o_comp] - demand[o_row], 0.0)
-        )
-        o_vals = np.repeat(l_minus[:, None], n_targets, axis=1)
-        o_vals[o_comp == rows[o_row]] = l_self
-        o_cells = _ranges(self._node_cell_start[origin], self._node_cells[origin])
-        o_cell_row = np.repeat(np.arange(n_rows), self._node_cells[origin])
-        o_num = np.add.reduceat(o_vals, _starts(self._cell_size[o_cells]), axis=0)
-        o_num += self._cell_rest[o_cells][:, None]
+        if self._any_span:
+            # A group on both nodes: its target cell's delta joins the
+            # origin entry, and the target entry drops out.
+            span = np.flatnonzero(self._cell_spans[d_cells])
+            x_cell = self._cell_of[self._cell_group[d_cells[span]][:, None], targets]
+            x_entry, x_target = np.nonzero(
+                (x_cell >= 0) & (targets != origin[d_row[span]][:, None])
+            )
+            x_cell = x_cell[x_entry, x_target]
+            x_entry = span[x_entry]
+            x_pos, x_row = tg.cell_pos[x_cell], d_row[x_entry]
+            o_num[x_entry, x_target] += t_sum[x_row, x_pos] - self._cell_sum[x_cell]
+            t_num[x_row, x_pos] = -np.inf
 
-        # Target side, one entry per (cell on a target, row).
-        t_comp = self._by_node[
-            _ranges(self._node_start[targets], self._node_count[targets])
-        ]
-        t_cells = _ranges(self._node_cell_start[targets], self._node_cells[targets])
-        l_plus = self._latencies(
-            t_comp[:, None], self._u_now[t_comp][:, None, :] + demand
+        # Stage maxima: untouched groups, the origin's other groups, then
+        # origin and target means.
+        k, n_stages = inp.k, self._origin_max.shape[1]
+        stage_max = np.take(
+            self._untouched.reshape(k * k, n_stages),
+            origin[:, None] * k + targets,
+            axis=0,
+            out=self._buf("stage_max", (n_rows, n_targets, n_stages)),
+            mode="clip",
         )
-        t_sum = np.add.reduceat(l_plus, _starts(self._cell_size[t_cells]), axis=0)
-        t_num = t_sum + self._cell_rest[t_cells][:, None]
-
-        # A group on both nodes: its target cell's delta joins the
-        # origin entry, and the target entry drops out.
-        x_cell = self._cell_of[self._cell_group[o_cells][:, None], targets]
-        x_entry, x_target = np.nonzero(
-            (x_cell >= 0) & (targets != origin[o_cell_row][:, None])
-        )
-        x_cell = x_cell[x_entry, x_target]
-        cell_pos = np.full(self._cell_size.size, -1, dtype=np.int64)
-        cell_pos[t_cells] = np.arange(t_cells.size)
-        x_pos, x_row = cell_pos[x_cell], o_cell_row[x_entry]
-        o_num[x_entry, x_target] += t_sum[x_pos, x_row] - self._cell_sum[x_cell]
-        t_num[x_pos, x_row] = -np.inf
-
-        # Stage maxima: untouched groups, then target and origin means.
-        stage_max = self._untouched[origin[:, None], targets[None, :]]
-        t_group = self._cell_group[t_cells]
-        t_mean = t_num / self._group_sizes[t_group][:, None]
-        seg_t, seg_s, seg = _segments(
-            np.repeat(np.arange(n_targets), self._node_cells[targets]),
-            self._group_stage[t_group],
-        )
-        stage_max[:, seg_t, seg_s] = np.maximum(
-            stage_max[:, seg_t, seg_s], np.maximum.reduceat(t_mean, seg, axis=0).T
-        )
-        o_group = self._cell_group[o_cells]
-        o_mean = o_num / self._group_sizes[o_group][:, None]
-        seg_r, seg_s, seg = _segments(o_cell_row, self._group_stage[o_group])
+        np.maximum(stage_max, self._origin_max[rows][:, None, :], out=stage_max)
+        d_group = self._cell_group[d_cells]
+        o_mean = o_num / self._group_sizes[d_group][:, None]
+        seg_r, seg_s, seg = _segments(d_row, self._group_stage[d_group])
         stage_max[seg_r, :, seg_s] = np.maximum(
             stage_max[seg_r, :, seg_s], np.maximum.reduceat(o_mean, seg, axis=0)
+        )
+        if self._singletons:
+            t_mean = l_plus
+        else:
+            t_mean = t_num / self._group_sizes[self._cell_group[tg.cells]]
+        stage_max[:, tg.seg_t, tg.seg_s] = np.maximum(
+            stage_max[:, tg.seg_t, tg.seg_s],
+            np.maximum.reduceat(t_mean, tg.seg, axis=1),
         )
 
         L = self.base_overall - self._compose(stage_max)
@@ -691,13 +882,14 @@ class PerformanceMatrix:
         """Write the kernel's ``rows`` × ``targets`` entries into ``L``
         and ``R``, at most :data:`BLOCK_PAIRS` pairs per chunk."""
         rows = np.asarray(rows, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        per_row = int(self._node_count[targets].sum()) + targets.size
-        step = max(1, BLOCK_PAIRS // per_row)
+        if rows.size == 0:
+            return
+        tg = self._targets(np.asarray(targets, dtype=np.int64))
+        step = max(1, BLOCK_PAIRS // (tg.comps.size + tg.nodes.size))
         for lo in range(0, rows.size, step):
             chunk = rows[lo : lo + step]
-            cells = np.ix_(chunk, targets)
-            self.L[cells], self.R[cells] = self._block(chunk, targets)
+            cells = np.ix_(chunk, tg.nodes)
+            self.L[cells], self.R[cells] = self._block(chunk, tg)
 
     # ------------------------------------------------------------------
     # full builds
@@ -726,7 +918,8 @@ class PerformanceMatrix:
         Updates the allocation array and the node totals, then refreshes
         the base latencies and tables — O(m + k²·S), matching the
         paper's claim that the matrix need not be rebuilt from scratch
-        inside the loop.
+        inside the loop.  The origin-side maxima of rows on the two
+        nodes are dropped; every other row keeps its own.
         """
         inp = self.inputs
         origin = int(inp.assignment[i])
@@ -737,6 +930,7 @@ class PerformanceMatrix:
         )
         inp.node_totals[j] = inp.node_totals[j] + inp.demands[i]
         inp.assignment[i] = j
+        self._origin_known[(inp.assignment == origin) | (inp.assignment == j)] = False
         self._refresh_base()
         return origin
 
@@ -750,14 +944,17 @@ class PerformanceMatrix:
         (b) every candidate component hosted on either node gets its
         whole row refreshed.  Entries of non-candidate rows and the
         moved component's row are left stale, exactly as in the paper
-        (the moved component is no longer a candidate).
+        (the moved component is no longer a candidate).  ``candidates``
+        is any iterable of row indices; an integer array is used as is.
         """
         if self.L is None or self.R is None:
             raise SchedulingError("matrix must be built before updating")
-        cand = np.array(
-            sorted(set(int(c) for c in candidates) - {int(moved)}),
-            dtype=np.int64,
-        )
+        if not isinstance(candidates, np.ndarray):
+            candidates = np.fromiter(candidates, dtype=np.int64)
+        mask = np.zeros(self.inputs.m, dtype=bool)
+        mask[candidates] = True
+        mask[moved] = False
+        cand = np.flatnonzero(mask)
         moved_nodes = np.array([n_origin, n_destination], dtype=np.int64)
         on_moved = np.isin(self.inputs.assignment[cand], moved_nodes)
         self._fill(cand[on_moved], np.arange(self.inputs.k))
@@ -783,16 +980,17 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Start offset of each run of equal ``(a, b)`` pairs."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    new[1:] |= b[1:] != b[:-1]
+    return np.flatnonzero(new)
+
+
 def _segments(outer: np.ndarray, stage: np.ndarray):
     """Runs of equal ``(outer, stage)`` in a sequence sorted by both:
     each run's outer value, stage and start offset."""
-    seg = np.flatnonzero(
-        np.r_[True, (outer[1:] != outer[:-1]) | (stage[1:] != stage[:-1])]
-    )
+    seg = _run_starts(outer, stage)
     return outer[seg], stage[seg], seg
-
-
-def _mg1(means, scv, lam, rho_max):
-    from repro.model.queueing import mg1_latency_array
-
-    return mg1_latency_array(means, scv, lam, rho_max=rho_max)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.interference.ground_truth import InterferenceModel
 from repro.model.combined import CombinedServiceTimeModel
-from repro.model.queueing import DEFAULT_RHO_MAX, mg1_latency_array
+from repro.model.queueing import DEFAULT_RHO_MAX
 from repro.service.component import Component, ComponentClass
 
 __all__ = ["LatencyPredictor", "TrainedPredictor", "OraclePredictor"]
@@ -44,18 +44,6 @@ class LatencyPredictor(ABC):
     @abstractmethod
     def scv(self, cls: ComponentClass) -> float:
         """Squared coefficient of variation used in Eq. 2 for the class."""
-
-    def predict_latency(
-        self,
-        cls: ComponentClass,
-        contention: np.ndarray,
-        arrival_rate,
-    ) -> np.ndarray:
-        """Eq. 2 expected latency under the given per-server arrival rate."""
-        mean = self.predict_mean_service(cls, contention)
-        return mg1_latency_array(
-            mean, self.scv(cls), arrival_rate, rho_max=self.rho_max
-        )
 
 
 class TrainedPredictor(LatencyPredictor):
@@ -147,7 +135,9 @@ class OraclePredictor(LatencyPredictor):
     def predict_mean_service(self, cls, contention):
         rep = self._rep(cls)
         u = np.atleast_2d(np.asarray(contention, dtype=np.float64))
-        return rep.base_mean * self.interference.inflation_array(cls, u)
+        mean = self.interference.inflation_array(cls, u)
+        mean *= rep.base_mean
+        return mean
 
     def scv(self, cls: ComponentClass) -> float:
         return self._rep(cls).base_scv

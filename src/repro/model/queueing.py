@@ -30,6 +30,7 @@ __all__ = [
     "mg1_latency",
     "mm1_latency",
     "mg1_latency_array",
+    "mg1_latency_unchecked",
     "quickest_of_k_latency",
     "reissue_latency",
     "hedged_latency",
@@ -101,10 +102,37 @@ def mg1_latency_array(
     if np.any(lam < 0):
         raise UnstableQueueError("arrival rates must be >= 0")
     x, c2, lam = np.broadcast_arrays(x, c2, lam)
-    rho = np.minimum(lam * x, rho_max)
-    lam_eff = rho / x
-    wait = lam_eff * (1.0 + c2) * x * x / (2.0 * (1.0 - rho))
-    return x + wait
+    out = mg1_latency_unchecked(
+        x, c2, lam, rho_max, np.empty(x.shape), np.empty(x.shape)
+    )
+    return out[()]  # a scalar for scalar inputs, the array otherwise
+
+
+def mg1_latency_unchecked(
+    mean_service, scv, arrival_rate, rho_max: float, out=None, scratch=None
+) -> np.ndarray:
+    """Eq. 2 as :func:`mg1_latency_array` computes it, without its
+    checks: ``ρ = min(λx̄, ρ_max)``, then ``x̄ + (ρ/x̄)(1 + C²ₓ)x̄x̄ /
+    (2(1 − ρ))``, in that order.
+
+    For callers that validated ``scv``, ``arrival_rate`` and ``rho_max``
+    once and check the means themselves (the performance-matrix kernel,
+    which calls it for every batch).  Evaluated in place: ``out`` takes
+    the result and ``scratch`` holds ρ, both of the broadcast shape and
+    allocated when ``None``.
+    """
+    x = mean_service
+    rho = np.multiply(arrival_rate, x, out=scratch)
+    np.minimum(rho, rho_max, out=rho)
+    out = np.divide(rho, x, out=out)
+    out *= 1.0 + scv
+    out *= x
+    out *= x
+    np.subtract(1.0, rho, out=rho)
+    rho *= 2.0
+    out /= rho
+    out += x
+    return out
 
 
 # ----------------------------------------------------------------------

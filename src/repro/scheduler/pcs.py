@@ -22,6 +22,13 @@ the build (each row against every component) and m·n for one
 Algorithm 2 update, n being the components on the two moved nodes;
 stage maxima add m·k·S array entries per build and a k²·S table per
 allocation.
+
+The matrix validates the predictor's Eq. 2 inputs once, when the
+scheduler constructs it for a decision, and reuses its kernel buffers
+across the build and every update of that decision.  The loop keeps
+its candidates as a boolean mask over the rows: line 6's tie set is
+read in candidate-row order, then column order, from the rows whose
+best entry reaches the largest value.
 """
 
 from __future__ import annotations
@@ -154,31 +161,35 @@ class PCSScheduler:
         initial_overall = pm.current_overall
 
         t1 = time.perf_counter()
-        candidates = set(range(inputs.m))
+        candidate = np.ones(inputs.m, dtype=bool)
         migrations: List[Migration] = []
         counts = inputs.component_counts()
-        while candidates:
+        while candidate.any():
             if (
                 cfg.max_migrations is not None
                 and len(migrations) >= cfg.max_migrations
             ):
                 break
             epsilon = cfg.threshold.epsilon(pm.current_overall)
-            cand_rows = np.fromiter(candidates, dtype=np.int64)
-            sub = pm.L[cand_rows].copy()
+            cand_rows = np.flatnonzero(candidate)
+            sub = pm.L[cand_rows]
             if inputs.node_limits is not None:
                 # Never propose a migration into a node with no free slot.
                 sub[:, counts >= inputs.node_limits] = -np.inf
-            lmax = float(sub.max())
+            row_max = sub.max(axis=1)
+            lmax = float(row_max.max())
             if lmax <= epsilon:
                 break  # line 5/9: no migration clears the threshold
-            # Line 6: the set SL of entries sharing the largest value.
+            # Line 6: the set SL of entries sharing the largest value, by
+            # candidate row, then column; only rows reaching it can hold one.
             tol = cfg.tie_tolerance * max(1.0, abs(lmax))
-            tie_rows, tie_cols = np.nonzero(sub >= lmax - tol)
+            near = np.flatnonzero(row_max >= lmax - tol)
+            tie_rows, tie_cols = np.nonzero(sub[near] >= lmax - tol)
+            tie_rows = cand_rows[near[tie_rows]]
             # Line 7: break ties on the migrated component's own gain.
-            self_gains = pm.R[cand_rows[tie_rows], tie_cols]
+            self_gains = pm.R[tie_rows, tie_cols]
             best = int(np.argmax(self_gains))
-            cmax = int(cand_rows[tie_rows[best]])
+            cmax = int(tie_rows[best])
             destination = int(tie_cols[best])
             origin = int(inputs.assignment[cmax])
             if destination == origin:  # pragma: no cover - L diagonal is 0
@@ -196,13 +207,15 @@ class PCSScheduler:
             pm.apply_migration(cmax, destination)
             counts[origin] -= 1
             counts[destination] += 1
-            candidates.discard(cmax)
-            if not candidates:
+            candidate[cmax] = False
+            if not candidate.any():
                 break
             if cfg.update_mode == "algorithm2":
-                pm.algorithm2_update(cmax, origin, destination, candidates)
+                pm.algorithm2_update(
+                    cmax, origin, destination, np.flatnonzero(candidate)
+                )
             else:
-                pm.rebuild_rows(sorted(candidates))
+                pm.rebuild_rows(np.flatnonzero(candidate))
         search_time = time.perf_counter() - t1
 
         return SchedulingOutcome(

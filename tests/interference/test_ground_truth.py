@@ -165,3 +165,34 @@ class TestCoefficients:
         assert model.inflation(ComponentClass.SEARCHING, u) == pytest.approx(5.5)
         # Other classes keep their defaults.
         assert model.inflation(ComponentClass.SEGMENTING, u) < 5.5
+
+
+class TestInflationArrayForm:
+    """``inflation_array`` runs its clip resource by resource; every
+    element must still equal the plain broadcast expression's."""
+
+    @staticmethod
+    def _expression(model, cls, u):
+        cap = model.capacity.vector.as_array()
+        coeff = model.coefficients_for(cls)
+        norm = np.clip(u, 0.0, cap) / cap
+        penalty = norm + coeff.curvature * norm * norm
+        return 1.0 + penalty @ coeff.as_array()
+
+    @pytest.mark.parametrize("cls", list(ComponentClass))
+    @pytest.mark.parametrize("curvature", [2.0, 0.7])
+    def test_bit_identical_to_the_broadcast_expression(self, cls, curvature):
+        model = InterferenceModel(
+            {cls: InterferenceCoefficients(0.9, 1.3, 0.7, 0.3, curvature)},
+            noise_sigma=0.0,
+        )
+        rng = np.random.default_rng(11)
+        cap = model.capacity.vector.as_array()
+        # Below zero, inside capacity and up to twice beyond it.
+        u = rng.uniform(-0.2, 2.0, (500, 4)) * cap
+        assert np.any(u > cap) and np.any(u < 0)
+        for batch in (u, u[:1], u[:2], np.asfortranarray(u), u[::3]):
+            np.testing.assert_array_equal(
+                model.inflation_array(cls, batch),
+                self._expression(model, cls, batch),
+            )

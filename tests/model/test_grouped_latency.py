@@ -95,7 +95,7 @@ class TestMatrixGroupedConsistency:
         )
         pm = PerformanceMatrix(inputs, Stub())
         assert pm.current_overall == pytest.approx(
-            grouped_overall_latency(pm.current_latencies, group_of, stage_of)
+            grouped_overall_latency(pm.base_latencies, group_of, stage_of)
         )
 
     def test_grouped_fast_equals_reference(self):

@@ -7,7 +7,7 @@ reference build, elementwise, on randomised instances.
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, SchedulingError
+from repro.errors import ModelError, SchedulingError, UnstableQueueError
 from repro.model.matrix import MatrixInputs, PerformanceMatrix
 from repro.model.predictor import LatencyPredictor
 from repro.service.component import ComponentClass
@@ -255,7 +255,7 @@ class TestTableIIIDirections:
         i = 0
         origin = int(inputs.assignment[i])
         target = (origin + 1) % inputs.k
-        base = pm.current_latencies
+        base = pm.base_latencies
         # Recompute latencies after the hypothetical migration by hand.
         u_new = pm._contention_now().copy()
         u_new[i] = inputs.node_totals[target]
@@ -609,3 +609,93 @@ class TestClassWeightedObjective:
         np.testing.assert_array_equal(
             dup.class_stage_participation, inputs.class_stage_participation
         )
+
+
+class FaultUnderLoadPredictor(StubPredictor):
+    """Returns a non-positive mean for contention above ``limit`` on any
+    resource once armed.  With ``limit`` at the largest node total, only
+    Table III's ``U + U_ci`` rows can exceed it: ``U``, ``U − U_ci`` and
+    ``U_nj`` never exceed their node's total."""
+
+    def __init__(self):
+        super().__init__()
+        self.limit = None
+
+    def predict_mean_service(self, cls, contention):
+        means = super().predict_mean_service(cls, contention)
+        if self.limit is None:
+            return means
+        over = (np.atleast_2d(contention) > self.limit).any(axis=1)
+        return np.where(over, -means, means)
+
+
+class TestKernelBoundary:
+    """What the kernel checks once at construction and on every call."""
+
+    def test_non_positive_mean_under_load_fails_the_build(self, rng):
+        inputs = _random_inputs(rng, m=12, k=4)
+        pred = FaultUnderLoadPredictor()
+        pred.limit = inputs.node_totals.max(axis=0)
+        pm = PerformanceMatrix(inputs, pred)  # U and U_nj stay in bounds
+        with pytest.raises(UnstableQueueError, match="positive"):
+            pm.build("fast")
+
+    def test_non_positive_mean_under_load_fails_the_update(self, rng):
+        inputs = _random_inputs(rng, m=12, k=4)
+        pred = FaultUnderLoadPredictor()
+        pm = PerformanceMatrix(inputs, pred).build("fast")
+        # The lightest component onto the busiest node: the column
+        # refresh then loads that node's members with heavier rows.
+        j = int(np.argmax(inputs.node_totals[:, 0]))
+        away = np.flatnonzero(inputs.assignment != j)
+        i = int(away[np.argmin(inputs.demands[away, 0])])
+        origin = pm.apply_migration(i, j)
+        pred.limit = inputs.node_totals.max(axis=0)
+        with pytest.raises(UnstableQueueError, match="positive"):
+            pm.algorithm2_update(i, origin, j, range(inputs.m))
+
+    @pytest.mark.parametrize(
+        "scv,rho_max,message",
+        [(-0.5, 0.98, "scv"), (1.0, 1.0, "rho_max"), (1.0, 0.0, "rho_max")],
+    )
+    def test_eq2_inputs_checked_at_construction(self, rng, scv, rho_max, message):
+        pred = StubPredictor(scv=scv)
+        pred.rho_max = rho_max
+        with pytest.raises(UnstableQueueError, match=message):
+            PerformanceMatrix(_random_inputs(rng), pred)
+
+    @pytest.mark.parametrize("kind", [set, list, np.array])
+    def test_candidates_in_any_container(self, kind):
+        inputs = _grouped_inputs(np.random.default_rng(4), "all")
+        i = 3
+        j = (int(inputs.assignment[i]) + 1) % inputs.k
+        reference = PerformanceMatrix(inputs.copy(), ClassStubPredictor()).build()
+        origin = reference.apply_migration(i, j)
+        reference.algorithm2_update(i, origin, j, np.arange(inputs.m))
+        pm = PerformanceMatrix(inputs.copy(), ClassStubPredictor()).build()
+        pm.apply_migration(i, j)
+        candidates = list(range(inputs.m))[::-1]  # unsorted, moved included
+        pm.algorithm2_update(i, origin, j, kind(candidates))
+        np.testing.assert_array_equal(pm.L, reference.L)
+        np.testing.assert_array_equal(pm.R, reference.R)
+
+    def test_update_leaves_the_paper_s_stale_entries(self, rng):
+        """Algorithm 2 rewrites the moved nodes' columns of candidate
+        rows and whole candidate rows on the moved nodes, nothing else."""
+        inputs = _random_inputs(rng, m=20, k=5)
+        pm = PerformanceMatrix(inputs, StubPredictor()).build()
+        i, j = (int(x) for x in np.unravel_index(np.argmax(pm.L), pm.L.shape))
+        pm.L[:], pm.R[:] = np.nan, np.nan
+        origin = pm.apply_migration(i, j)
+        # One retired row; the moved component may arrive among the
+        # candidates, but it is not one.
+        candidates = [c for c in range(inputs.m) if c != (i + 1) % inputs.m]
+        pm.algorithm2_update(i, origin, j, candidates)
+        cand = np.isin(np.arange(inputs.m), candidates) & (np.arange(inputs.m) != i)
+        on_moved = np.isin(inputs.assignment, (origin, j))
+        written = (cand & on_moved)[:, None] | (
+            cand[:, None] & np.isin(np.arange(inputs.k), (origin, j))
+        )
+        assert not np.isnan(pm.L[written]).any()
+        assert not np.isnan(pm.R[written]).any()
+        assert np.isnan(pm.L[~written]).all() and np.isnan(pm.R[~written]).all()

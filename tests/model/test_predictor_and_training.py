@@ -7,7 +7,9 @@ from repro.cluster.resources import ResourceVector
 from repro.errors import ModelError
 from repro.interference.ground_truth import default_interference_model
 from repro.model.combined import CombinedServiceTimeModel
+from repro.model.matrix import MatrixInputs, PerformanceMatrix
 from repro.model.predictor import OraclePredictor, TrainedPredictor
+from repro.model.queueing import mg1_latency
 from repro.model.training import (
     TrainingSet,
     error_buckets,
@@ -45,10 +47,23 @@ class TestTrainedPredictor:
         )
         u = np.array([[0.4, 12.5, 90.0, 30.0]])
         mean = pred.predict_mean_service(ComponentClass.SEARCHING, u)[0]
-        lat = pred.predict_latency(ComponentClass.SEARCHING, u, 50.0)[0]
-        from repro.model.queueing import mg1_latency
-
-        assert lat == pytest.approx(mg1_latency(mean, 0.8, 50.0))
+        # The decide path's latency for a component under contention u:
+        # its node carries u on top of the component's own demand.
+        demand = np.array([[0.01, 0.5, 2.0, 1.0]])
+        pm = PerformanceMatrix(
+            MatrixInputs(
+                stage_of=[0],
+                classes=[ComponentClass.SEARCHING],
+                demands=demand,
+                assignment=[0],
+                node_totals=u + demand,
+                arrival_rates=[50.0],
+            ),
+            pred,
+        )
+        assert pm.base_latencies[0] == pytest.approx(
+            mg1_latency(mean, pred.scv(ComponentClass.SEARCHING), 50.0)
+        )
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ModelError):

@@ -11,6 +11,7 @@ from repro.model.queueing import (
     hedged_latency,
     mg1_latency,
     mg1_latency_array,
+    mg1_latency_unchecked,
     mg1_waiting_time,
     mm1_latency,
     quickest_of_k_latency,
@@ -133,6 +134,31 @@ class TestArrayForm:
         stable = mg1_latency_array(0.01, 1.0, 80.0)
         saturated = mg1_latency_array(0.01, 1.0, 120.0)
         assert saturated > stable
+
+    def test_scalar_inputs_give_a_scalar(self):
+        out = mg1_latency_array(0.01, 1.0, 80.0)
+        assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_in_place_evaluation_is_the_textbook_order(self, per_row):
+        """The unchecked in-place Eq. 2 (the matrix kernel's) and
+        mg1_latency_array equal the plain expression bit for bit, with
+        a scalar or a per-row SCV and with servers above the cap."""
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1e-3, 2e-2, (64, 9))
+        lam = rng.uniform(0.0, 120.0, (64, 1))
+        assert np.any(lam * x > 0.98)
+        scv = rng.uniform(0.0, 3.0, (64, 1)) if per_row else 0.7
+        rho = np.minimum(lam * x, 0.98)
+        want = x + (rho / x) * (1.0 + scv) * x * x / (2.0 * (1.0 - rho))
+        np.testing.assert_array_equal(mg1_latency_array(x, scv, lam), want)
+        np.testing.assert_array_equal(
+            mg1_latency_unchecked(x, scv, lam, 0.98), want
+        )
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        got = mg1_latency_unchecked(x, scv, lam, 0.98, out, scratch)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBenefitTransforms:
