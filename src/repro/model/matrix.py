@@ -714,16 +714,11 @@ class PerformanceMatrix:
     def _self_latencies(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Each row's latency on each target at the target's arrival
         mean (Table III row 1)."""
-        lam = self.inputs.arrival_rates[rows][:, None]
-        if len(self._classes) == 1:
-            return mg1_latency_unchecked(
-                self._arrival_means[0, targets], self._scv[0], lam, self._rho_max
-            )
         cls = self._class_id[rows]
         return mg1_latency_unchecked(
             self._arrival_means[cls[:, None], targets],
             self._scv[cls][:, None],
-            lam,
+            self.inputs.arrival_rates[rows][:, None],
             self._rho_max,
         )
 
