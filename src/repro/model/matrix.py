@@ -41,9 +41,9 @@ those candidates' kept origin maxima stand in for their node-mates.
 
 Inputs are validated once, when the matrix is constructed (Eq. 2's
 SCVs, arrival rates and ``rho_max``); afterwards only the predicted
-means are checked, on every predictor call.  The kernel's large arrays
-live in buffers the matrix owns and reuses across chunks and updates
-(see :class:`PerformanceMatrix`).
+means are checked, on every predictor call.  The kernel's largest
+array, the target contention tensor, lives in a buffer the matrix owns
+and reuses across chunks and updates (see :class:`PerformanceMatrix`).
 
 Exactness: every entry equals :meth:`PerformanceMatrix.entry`, the
 one-cell reading of the table above, to rtol 1e-10;
@@ -60,9 +60,8 @@ latency reduction — because Algorithm 1 line 7 breaks ties on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +80,8 @@ __all__ = ["MatrixInputs", "PerformanceMatrix"]
 #: Cap on one kernel chunk's rows × (target components + targets): the
 #: build's contention batch stays this size whatever m is.  At 640×128
 #: (21 rows a chunk) the predictor's temporaries stay small enough for
-#: the allocator to recycle: 1 << 15 re-faulted ~7.5k pages a build,
-#: this ~0.7k, and the build's median CPU time fell in 4 of 4
+#: the allocator to recycle: 1 << 15 re-faulted ~6.4k pages a decision,
+#: this 0.3k–0.8k, and the median decision was 4–9 ms faster in 3 of 3
 #: alternating runs (2-vCPU x86-64 host, oracle predictor).
 BLOCK_PAIRS = 1 << 14
 
@@ -351,12 +350,12 @@ class PerformanceMatrix:
     mean service times are checked on every predictor call, since they
     are the one input the matrix does not control.
 
-    The kernel's large arrays (the target contention tensor, its Eq. 2
-    latencies and scratch, the stage maxima) live in buffers this object
-    owns: every row chunk and every Algorithm 2 update writes into the
-    same memory instead of allocating it afresh, so a decision does not
-    return its working set to the OS between chunks and fault it back
-    in.  The buffers carry nothing from one call to the next.
+    The kernel's largest array, the target contention tensor (rows ×
+    target components × 4), lives in a buffer this object owns: every
+    row chunk and every Algorithm 2 update writes into the same memory
+    instead of allocating it afresh, so a decision does not return it to
+    the OS between chunks and fault it back in.  The buffer carries
+    nothing from one call to the next.
     """
 
     def __init__(self, inputs: MatrixInputs, predictor: LatencyPredictor) -> None:
@@ -371,9 +370,6 @@ class PerformanceMatrix:
         self._group_offsets = stage_offsets(group_of)
         group_counts = np.diff(np.append(self._group_offsets, m))
         self._group_sizes = group_counts.astype(np.float64)
-        # A group of one component has that component's latency as its
-        # mean, so the kernel skips the group sums.
-        self._singletons = bool(np.all(group_counts == 1))
         self._stage_offsets_groups = stage_offsets(
             inputs.stage_of[self._group_offsets]
         )
@@ -436,7 +432,9 @@ class PerformanceMatrix:
         # on any other node (_origin_known).
         self._origin_max = np.empty((m, n_stages))
         self._origin_known = np.zeros(m, dtype=bool)
-        self._scratch: Dict[str, np.ndarray] = {}
+        # The target contention tensor of one kernel chunk; grown to the
+        # largest chunk and reused by every later one.
+        self._contention = np.empty(0)
         self.L: Optional[np.ndarray] = None
         self.R: Optional[np.ndarray] = None
         self._refresh_base()
@@ -450,15 +448,6 @@ class PerformanceMatrix:
         u = inp.node_totals[inp.assignment] - inp.demands
         return np.maximum(u, 0.0)
 
-    def _buf(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """Scratch array of ``shape`` over the buffer ``name``, which
-        grows to the largest request and serves every later one."""
-        size = math.prod(shape)
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size:
-            buf = self._scratch[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
     def _predict(self, c: int, contention: np.ndarray) -> np.ndarray:
         """Mean service times of class ``c``, which must be positive."""
         means = self.predictor.predict_mean_service(self._classes[c], contention)
@@ -466,29 +455,19 @@ class PerformanceMatrix:
             raise UnstableQueueError("mean service times must be positive")
         return means
 
-    def _latencies(
-        self,
-        comps: np.ndarray,
-        contention: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def _latencies(self, comps: np.ndarray, contention: np.ndarray) -> np.ndarray:
         """Eq. 2 latency of each component of ``comps`` under the matching
         row of ``contention``; ``comps`` broadcasts against
         ``contention.shape[:-1]``, the shape of the result.
 
         The one pair-latency evaluation behind the base state, the
         kernel and :meth:`entry`: one predictor call per class present.
-        ``out`` (single-class only) receives the result, with Eq. 2's
-        scratch in the ``eq2`` buffer.
         """
         shape = contention.shape[:-1]
         lam = self.inputs.arrival_rates[comps]
         if len(self._classes) == 1:
             means = self._predict(0, contention.reshape(-1, 4)).reshape(shape)
-            scratch = None if out is None else self._buf("eq2", shape)
-            return mg1_latency_unchecked(
-                means, self._scv[0], lam, self._rho_max, out, scratch
-            )
+            return mg1_latency_unchecked(means, self._scv[0], lam, self._rho_max)
         out = np.empty(shape, dtype=np.float64)
         ids = np.broadcast_to(self._class_id[comps], shape)
         lam = np.broadcast_to(lam, shape)
@@ -725,13 +704,15 @@ class PerformanceMatrix:
     def _plus_latencies(self, rows: np.ndarray, tg: _Targets) -> np.ndarray:
         """``(rows, components on the targets)``: each component's
         latency with the row's demand added to its contention (Table III
-        row 3), in the ``contention`` and ``l_plus`` buffers."""
+        row 3), from the contention tensor in the matrix's buffer."""
         demand = self.inputs.demands[rows]
-        shape = (rows.size, tg.comps.size)
-        contention = self._buf("contention", shape + (4,))
+        size = rows.size * tg.comps.size * 4
+        if self._contention.size < size:
+            self._contention = np.empty(size)
+        contention = self._contention[:size].reshape(rows.size, tg.comps.size, 4)
         for r in range(4):
             np.add.outer(demand[:, r], tg.contention[r], out=contention[..., r])
-        return self._latencies(tg.comps, contention, out=self._buf("l_plus", shape))
+        return self._latencies(tg.comps, contention)
 
     def _origin_side(self, rows: np.ndarray, l_self: np.ndarray):
         """The origin cells whose mean depends on the target — each row's
@@ -815,15 +796,11 @@ class PerformanceMatrix:
         """
         inp = self.inputs
         targets = tg.nodes
-        n_rows, n_targets = rows.size, targets.size
         origin = inp.assignment[rows]
         l_self = self._self_latencies(rows, targets)
         l_plus = self._plus_latencies(rows, tg)
-        if not self._singletons:
-            t_sum = np.add.reduceat(
-                l_plus, _starts(self._cell_size[tg.cells]), axis=1
-            )
-            t_num = t_sum + self._cell_rest[tg.cells]
+        t_sum = np.add.reduceat(l_plus, _starts(self._cell_size[tg.cells]), axis=1)
+        t_num = t_sum + self._cell_rest[tg.cells]
         d_cells, d_row, o_num = self._origin_side(rows, l_self)
 
         if self._any_span:
@@ -843,13 +820,9 @@ class PerformanceMatrix:
         # Stage maxima: untouched groups, the origin's other groups, then
         # origin and target means.
         k, n_stages = inp.k, self._origin_max.shape[1]
-        stage_max = np.take(
-            self._untouched.reshape(k * k, n_stages),
-            origin[:, None] * k + targets,
-            axis=0,
-            out=self._buf("stage_max", (n_rows, n_targets, n_stages)),
-            mode="clip",
-        )
+        stage_max = self._untouched.reshape(k * k, n_stages)[
+            origin[:, None] * k + targets
+        ]
         np.maximum(stage_max, self._origin_max[rows][:, None, :], out=stage_max)
         d_group = self._cell_group[d_cells]
         o_mean = o_num / self._group_sizes[d_group][:, None]
@@ -857,10 +830,7 @@ class PerformanceMatrix:
         stage_max[seg_r, :, seg_s] = np.maximum(
             stage_max[seg_r, :, seg_s], np.maximum.reduceat(o_mean, seg, axis=0)
         )
-        if self._singletons:
-            t_mean = l_plus
-        else:
-            t_mean = t_num / self._group_sizes[self._cell_group[tg.cells]]
+        t_mean = t_num / self._group_sizes[self._cell_group[tg.cells]]
         stage_max[:, tg.seg_t, tg.seg_s] = np.maximum(
             stage_max[:, tg.seg_t, tg.seg_s],
             np.maximum.reduceat(t_mean, tg.seg, axis=1),

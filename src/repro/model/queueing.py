@@ -102,14 +102,11 @@ def mg1_latency_array(
     if np.any(lam < 0):
         raise UnstableQueueError("arrival rates must be >= 0")
     x, c2, lam = np.broadcast_arrays(x, c2, lam)
-    out = mg1_latency_unchecked(
-        x, c2, lam, rho_max, np.empty(x.shape), np.empty(x.shape)
-    )
-    return out[()]  # a scalar for scalar inputs, the array otherwise
+    return mg1_latency_unchecked(x, c2, lam, rho_max)
 
 
 def mg1_latency_unchecked(
-    mean_service, scv, arrival_rate, rho_max: float, out=None, scratch=None
+    mean_service, scv, arrival_rate, rho_max: float
 ) -> np.ndarray:
     """Eq. 2 as :func:`mg1_latency_array` computes it, without its
     checks: ``ρ = min(λx̄, ρ_max)``, then ``x̄ + (ρ/x̄)(1 + C²ₓ)x̄x̄ /
@@ -117,20 +114,16 @@ def mg1_latency_unchecked(
 
     For callers that validated ``scv``, ``arrival_rate`` and ``rho_max``
     once and check the means themselves (the performance-matrix kernel,
-    which calls it for every batch).  Evaluated in place: ``out`` takes
-    the result and ``scratch`` holds ρ, both of the broadcast shape and
-    allocated when ``None``.
+    which calls it for every batch).  The waiting term is scaled in
+    place; scalar inputs give a scalar.
     """
     x = mean_service
-    rho = np.multiply(arrival_rate, x, out=scratch)
-    np.minimum(rho, rho_max, out=rho)
-    out = np.divide(rho, x, out=out)
+    rho = np.minimum(arrival_rate * x, rho_max)
+    out = rho / x
     out *= 1.0 + scv
     out *= x
     out *= x
-    np.subtract(1.0, rho, out=rho)
-    rho *= 2.0
-    out /= rho
+    out /= 2.0 * (1.0 - rho)
     out += x
     return out
 

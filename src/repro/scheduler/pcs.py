@@ -24,7 +24,7 @@ stage maxima add m·k·S array entries per build and a k²·S table per
 allocation.
 
 The matrix validates the predictor's Eq. 2 inputs once, when the
-scheduler constructs it for a decision, and reuses its kernel buffers
+scheduler constructs it for a decision, and reuses its contention buffer
 across the build and every update of that decision.  The loop keeps
 its candidates as a boolean mask over the rows: line 6's tie set is
 read in candidate-row order, then column order, from the rows whose
