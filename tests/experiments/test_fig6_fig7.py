@@ -213,9 +213,12 @@ class TestFig6SweepRouting:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
+        # The top flat point is large enough for the build's m² kernel
+        # work (64× the smallest point's) to dominate its fixed cost, so
+        # the growth check compares that work, not timing noise.
         return run_fig7(
             Fig7Config(
-                sizes=((20, 4), (40, 8), (80, 16)),
+                sizes=((20, 4), (40, 8), (160, 32)),
                 repeats=2,
                 hierarchical_sizes=((160, 16),),
                 hierarchical_group_size=80,

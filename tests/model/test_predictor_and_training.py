@@ -61,9 +61,7 @@ class TestTrainedPredictor:
             ),
             pred,
         )
-        assert pm.base_latencies[0] == pytest.approx(
-            mg1_latency(mean, pred.scv(ComponentClass.SEARCHING), 50.0)
-        )
+        assert pm.base_latencies[0] == pytest.approx(mg1_latency(mean, 0.8, 50.0))
 
     def test_unfitted_model_rejected(self):
         with pytest.raises(ModelError):
