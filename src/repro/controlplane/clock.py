@@ -22,7 +22,6 @@ identical in both modes and the batch replay stays the degenerate case:
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from abc import ABC, abstractmethod
 from typing import Optional
@@ -101,6 +100,8 @@ class WallClock(Clock):
             _time.sleep(delay)
 
     async def wait_until(self, sim_time: float) -> None:
+        import asyncio  # only the live service awaits; batch runs never do
+
         delay = self._delay_s(sim_time)
         if delay > 0:
             await asyncio.sleep(delay)

@@ -12,28 +12,8 @@
   monitor noise) that the paper mentions but does not evaluate.
 - :mod:`repro.experiments.report` — plain-text tables/series renderers
   shared by the drivers, examples and benchmarks.
+
+Import a driver by its module (``from repro.experiments import fig6``):
+the package itself imports none of them, so a command loads only the
+driver it runs.
 """
-
-from repro.experiments.fig5 import Fig5Config, Fig5Result, run_fig5
-from repro.experiments.fig6 import (
-    Fig6Config,
-    Fig6Result,
-    paper_pcs_policy,
-    run_fig6,
-    run_quick_comparison,
-)
-from repro.experiments.fig7 import Fig7Config, Fig7Result, run_fig7
-
-__all__ = [
-    "Fig5Config",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Config",
-    "Fig6Result",
-    "run_fig6",
-    "run_quick_comparison",
-    "paper_pcs_policy",
-    "Fig7Config",
-    "Fig7Result",
-    "run_fig7",
-]

@@ -29,11 +29,12 @@ Semantics
   stage over several equivalent servers is therefore modeled as one
   group with several replicas.
 
-The stage-level DAG built here (``stage_graph``/:meth:`to_graph`) is
-the source of truth for traversal order everywhere downstream: both
-simulators walk :attr:`ServiceTopology.predecessor_indices`, and the
-scheduler's performance matrix composes predicted stage latencies
-along the same edges (:mod:`repro.model.service_latency`).
+The stage edges resolved here (:attr:`ServiceTopology.predecessor_indices`
+and :attr:`~ServiceTopology.successor_indices`) are the source of truth
+for traversal order everywhere downstream: both simulators walk the
+predecessor indices, and the scheduler's performance matrix composes
+predicted stage latencies along the same edges
+(:mod:`repro.model.service_latency`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError
@@ -262,14 +262,14 @@ class ServiceTopology:
     """A validated request DAG of stages.
 
     Construction resolves every stage's predecessors (``None`` → the
-    previous stage), builds the stage-level DAG, assigns every
+    previous stage), derives each stage's successors, assigns every
     component its ``(stage_index, group_index, replica_index)``
     coordinates and checks name uniqueness — the invariants everything
     downstream (performance matrix rows, scheduler candidate sets, the
     simulators' traversal order) relies on.  Predecessors must appear
-    *earlier* in the stage list, so the definition order is always a
-    topological order and the matrix's stage-major row layout is
-    preserved for any DAG.
+    *earlier* in the stage list, so the stage edges cannot form a cycle,
+    the definition order is always a topological order and the matrix's
+    stage-major row layout is preserved for any DAG.
     """
 
     def __init__(self, stages: Sequence[Stage]) -> None:
@@ -311,18 +311,6 @@ class ServiceTopology:
         self._successors: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(s) for s in succs
         )
-        # The stage-level DAG — the structural source of truth.  The
-        # earlier-only predecessor rule already guarantees acyclicity;
-        # the networkx check is a belt against future refactors.
-        self._stage_graph = nx.DiGraph()
-        self._stage_graph.add_nodes_from(names)
-        for si, ps in enumerate(self._predecessors):
-            for p in ps:
-                self._stage_graph.add_edge(names[p], names[si])
-        if not nx.is_directed_acyclic_graph(self._stage_graph):
-            raise TopologyError(  # pragma: no cover - unreachable belt
-                "stage predecessor edges form a cycle"
-            )
 
         seen: set[str] = set()
         for si, stage in enumerate(self._stages):
@@ -521,53 +509,6 @@ class ServiceTopology:
             if c is component:
                 return i
         raise TopologyError(f"{component.name} is not part of this topology")
-
-    # ------------------------------------------------------------------
-    # graph views
-    # ------------------------------------------------------------------
-    @property
-    def stage_graph(self) -> nx.DiGraph:
-        """The stage-level request DAG (nodes are stage names)."""
-        return self._stage_graph.copy()
-
-    def to_graph(self) -> nx.DiGraph:
-        """Component-level request-flow DAG: entry → stages → exit.
-
-        Expanded from the stage DAG: every predecessor stage's
-        components feed every component of the dependent stage; entry
-        stages hang off the ``__entry__`` sentinel and exit stages feed
-        ``__exit__``.  Node attributes carry the component's stage and
-        its group's participation probability.
-        """
-        g = nx.DiGraph()
-        g.add_node("__entry__", kind="sentinel")
-        g.add_node("__exit__", kind="sentinel")
-        for stage in self._stages:
-            for group in stage.groups:
-                for comp in group.components:
-                    g.add_node(
-                        comp.name,
-                        kind="component",
-                        stage=stage.name,
-                        participation=group.participation,
-                    )
-        for si, stage in enumerate(self._stages):
-            sources = (
-                [
-                    c.name
-                    for p in self._predecessors[si]
-                    for c in self._stages[p].components
-                ]
-                if self._predecessors[si]
-                else ["__entry__"]
-            )
-            for comp in stage.components:
-                for src in sources:
-                    g.add_edge(src, comp.name)
-        for si in self.exit_indices:
-            for comp in self._stages[si].components:
-                g.add_edge(comp.name, "__exit__")
-        return g
 
     def describe(self) -> str:
         """Human-readable summary.

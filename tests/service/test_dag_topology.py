@@ -1,7 +1,6 @@
 """DAG topology model: predecessor validation, derived indices,
 chain degeneracy, and the graph views."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
@@ -121,31 +120,57 @@ class TestDerivedIndices:
             assert topo.component_index(c) == i
 
 
+def _stage_edges(topo):
+    names = [s.name for s in topo.stages]
+    return {
+        (names[p], names[si])
+        for si, ps in enumerate(topo.predecessor_indices)
+        for p in ps
+    }
+
+
 class TestGraphViews:
     def test_stage_graph_edges(self):
-        g = _diamond().stage_graph
-        assert set(g.edges) == {
+        topo = _diamond()
+        assert _stage_edges(topo) == {
             ("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")
         }
-        assert nx.is_directed_acyclic_graph(g)
+        # The successor view holds the same edges, reversed.
+        assert {
+            (p, s)
+            for p, ss in enumerate(topo.successor_indices)
+            for s in ss
+        } == {
+            (p, s) for s, ps in enumerate(topo.predecessor_indices) for p in ps
+        }
+        # Acyclic: every edge points from an earlier stage to a later one.
+        assert all(
+            p < si for si, ps in enumerate(topo.predecessor_indices) for p in ps
+        )
 
     def test_component_graph_follows_dag(self):
         topo = _diamond()
-        g = topo.to_graph()
-        assert nx.is_directed_acyclic_graph(g)
-        assert g.has_edge("__entry__", "a-r0")
-        assert g.has_edge("a-r0", "b-r0") and g.has_edge("a-r0", "c-r0")
-        assert g.has_edge("a-r0", "d-r0")  # the skip edge survives
-        assert g.has_edge("d-r0", "__exit__")
-        assert not g.has_edge("b-r0", "c-r0")
+        preds = topo.predecessor_indices
+        stage_of = {c.name: c.stage_index for c in topo.components}
+        assert preds[stage_of["a-r0"]] == ()  # fed by request arrival
+        assert stage_of["a-r0"] in preds[stage_of["b-r0"]]
+        assert stage_of["a-r0"] in preds[stage_of["c-r0"]]
+        assert stage_of["a-r0"] in preds[stage_of["d-r0"]]  # the skip edge
+        assert topo.exit_indices == (stage_of["d-r0"],)
+        assert stage_of["b-r0"] not in preds[stage_of["c-r0"]]
 
     def test_graph_carries_participation(self):
         topo = ServiceTopology(
             [_stage("a"), _stage("b", participation=0.25)]
         )
-        g = topo.to_graph()
-        assert g.nodes["b-r0"]["participation"] == 0.25
-        assert g.nodes["a-r0"]["participation"] == 1.0
+        participation = {
+            c.name: g.participation
+            for s in topo.stages
+            for g in s.groups
+            for c in g.components
+        }
+        assert participation["b-r0"] == 0.25
+        assert participation["a-r0"] == 1.0
 
     def test_describe_shapes(self):
         chain = ServiceTopology([_stage("a"), _stage("b")])
