@@ -1,9 +1,11 @@
-"""Legacy setup shim.
+"""Setup shim for installs that cannot build a wheel.
 
-The execution environment is offline and lacks the ``wheel`` package, so
-PEP 517 editable installs fail; this file lets ``pip install -e .`` fall
-back to the classic ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+All metadata lives in ``pyproject.toml``; ``setup()`` reads it from
+there.  ``pip install .`` builds through ``pyproject.toml`` alone.  On
+a host without network access and without the ``wheel`` package, pip
+cannot build, and ``python setup.py develop`` installs the package in
+place instead, with the same name, dependencies and ``repro-pcs``
+command.
 """
 
 from setuptools import setup
