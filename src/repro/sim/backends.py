@@ -14,11 +14,11 @@ lives behind one interface:
 :class:`ProcessBackend`
     A spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`
     (spawn is fork-safety: no inherited locks or numpy state) that
-    submits one task per point.  Every worker pays an interpreter +
-    numpy import (~1.5 s) and trains its own predictor memo, but
-    workers then compute in true parallel, and one-point tasks keep the
-    pool load-balanced: a free worker always takes the next pending
-    point.
+    submits one task per point.  Every worker pays an interpreter start
+    and the package's imports (~0.45 s) and trains its own predictor
+    memo, but workers then compute in true parallel, and one-point
+    tasks keep the pool load-balanced: a free worker always takes the
+    next pending point.
 
 :class:`~repro.sim.distributed.DistributedBackend`
     Sweep points run on ``python -m repro worker SPOOL`` processes on
@@ -90,16 +90,23 @@ __all__ = [
 BACKEND_NAMES = ("serial", "process", "distributed")
 
 #: Pending sets at or below this size auto-route to :class:`SerialBackend`
-#: *when no cost estimate says otherwise*: a spawn worker pays roughly an
-#: interpreter + numpy import per process, which on a small grid of cheap
-#: points costs more than it saves.
+#: *when no cost estimate says otherwise*: a spawn worker pays an
+#: interpreter start, the package's imports and a cold predictor memo,
+#: which on a small grid of cheap points costs more than it saves.  On a
+#: 2-vCPU x86-64 host with 2 workers, 8 quick-Fig. 6 points (16 nodes,
+#: 6×30 s) ran inline in 1.12–1.34 s and on processes in 1.06–2.10 s
+#: (5 runs each); 12 points ran faster on processes, 1.57–1.83 s against
+#: 1.78–2.09 s inline (3 runs each).
 SERIAL_AUTO_THRESHOLD = 8
 
 #: Expected per-point cost above which ``auto`` routes to processes
 #: regardless of the pending-point count, or to the spool when one is
-#: configured: one such point already outlasts its worker's spawn tax
-#: (interpreter + numpy import + cold predictor memo, ~1.5 s), and
-#: dwarfs a spool job's filesystem round trip.
+#: configured: one such point already outlasts its worker's spawn tax,
+#: and dwarfs a spool job's filesystem round trip.  The tax measured
+#: 0.58–0.64 s (median 0.62 s, 6 workers, 2-vCPU x86-64 host): 0.43–0.50 s
+#: from spawn to the first task, then 0.12–0.20 s training the predictor
+#: for a quick-Fig. 6 point.  The cutoff stays about three times that,
+#: the factor by which the spec-based point-cost estimates may be off.
 EXPENSIVE_POINT_CUTOFF_S = 2.0
 
 #: The one process start method: spawn, so workers inherit no locks

@@ -71,8 +71,8 @@ how pending points execute; results are identical for every choice.
 
 The default (``backend=None`` / CLI ``auto``) applies exactly that
 guidance, **cost-aware**: serial for one worker or one pending point;
-processes whenever the expected per-point cost exceeds the ~1–2 s
-per-worker spawn tax (:data:`repro.sim.backends.
+processes whenever the expected per-point cost exceeds a margin over
+the ~0.6 s per-worker spawn tax (:data:`repro.sim.backends.
 EXPENSIVE_POINT_CUTOFF_S`); otherwise serial for small pending sets
 and processes for large ones
 (:func:`repro.sim.backends.auto_backend`).  The per-point cost is
@@ -299,7 +299,7 @@ class SweepSpec:
 #: via :func:`calibrate_wall_s_per_node_second` — a 16-node, 6×30 s
 #: quick-fig6 point (2880 node-seconds) measures ~0.1–0.2 s serial on
 #: the CI hosts, i.e. ~4e-5 s per node-second.  It only has to rank a
-#: point against the ~1–2 s spawn tax, so a factor of a few either way
+#: point against the 2 s spawn-tax cutoff, so a factor of a few either way
 #: does not change the routing decision; measured cache timings
 #: override it on resumed sweeps.
 SIM_WALL_S_PER_NODE_SECOND = 4e-5
