@@ -94,7 +94,6 @@ __all__ = [
     "AdaptiveHedgeKernel",
     "register_routing_kernel",
     "routing_kernel_for",
-    "registered_kernel_types",
 ]
 
 
@@ -520,8 +519,3 @@ def routing_kernel_for(policy) -> RoutingKernel:
         f"no routing kernel registered for policy {policy!r} "
         f"(register one with repro.baselines.routing.register_routing_kernel)"
     )
-
-
-def registered_kernel_types() -> Dict[type, Callable[[object], RoutingKernel]]:
-    """Snapshot of the registry: policy class -> kernel factory."""
-    return dict(_KERNEL_FACTORIES)

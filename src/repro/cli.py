@@ -91,6 +91,32 @@ def _class_mix(text: str):
     return tuple(pairs)
 
 
+def _number_list(convert, what: str):
+    """argparse type for comma-separated ``--rates``/``--seeds`` lists.
+
+    A malformed entry or an empty list is a usage error (exit code 2),
+    like ``--classes`` and ``--workers``, not a traceback from the
+    command.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(part) for part in text.split(",") if part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            )
+        if not values:
+            raise argparse.ArgumentTypeError("must name at least one value")
+        return values
+
+    return parse
+
+
+_rates = _number_list(float, "numbers")
+_seeds = _number_list(int, "integers")
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1 (workers, nodes, windows).
 
@@ -228,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p6.add_argument("--seed", type=int, default=7)
     p6.add_argument(
-        "--seeds", default=None,
+        "--seeds", type=_seeds, default=None,
         help="comma-separated seeds to repeat every cell under "
         "(default: just --seed); multi-seed runs report mean ± CI",
     )
@@ -277,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
         "RI-90, RI-99, ARI-<p>, Hedge[-<ms>], AHedge[-<p>], PCS)",
     )
     ps.add_argument(
-        "--rates", default="50,200",
+        "--rates", type=_rates, default="50,200",
         help="comma-separated arrival rates (req/s)",
     )
     ps.add_argument(
-        "--seeds", default="0", help="comma-separated root seeds"
+        "--seeds", type=_seeds, default="0", help="comma-separated root seeds"
     )
     ps.add_argument(
         "--nodes", type=int, default=None,
@@ -491,14 +517,9 @@ def _run_sweep(args) -> int:
     policies = tuple(
         policy_from_name(name) for name in args.policies.split(",") if name
     )
-    rates = tuple(float(r) for r in args.rates.split(",") if r)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-    for label, values in (
-        ("--policies", policies), ("--rates", rates), ("--seeds", seeds)
-    ):
-        if not values:
-            print(f"error: {label} must name at least one value", file=sys.stderr)
-            return 2
+    if not policies:
+        print("error: --policies must name at least one value", file=sys.stderr)
+        return 2
     scenario = get_scenario(args.scenario)
     overrides = dict(
         n_nodes=(
@@ -506,11 +527,11 @@ def _run_sweep(args) -> int:
             if args.nodes is not None
             else int(scenario.runner_defaults.get("n_nodes", 16))
         ),
-        arrival_rate=rates[0],
+        arrival_rate=args.rates[0],
         interval_s=args.interval_s,
         n_intervals=args.intervals,
         warmup_intervals=args.warmup_intervals,
-        seed=seeds[0],
+        seed=args.seeds[0],
         scale=_shape_scale(args),
         trace_profile=args.trace_profile,
         class_mix=args.class_mix,
@@ -525,8 +546,8 @@ def _run_sweep(args) -> int:
     spec = SweepSpec(
         base=scenario.runner_config(**overrides),
         policies=policies,
-        arrival_rates=rates,
-        seeds=seeds,
+        arrival_rates=args.rates,
+        seeds=args.seeds,
     )
     runner = ParallelSweepRunner(
         spec,
@@ -721,11 +742,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.fig6 import Fig6Config, run_fig6
         from repro.service.nutch import NutchConfig
 
-        seeds = (
-            tuple(int(s) for s in args.seeds.split(",") if s)
-            if args.seeds
-            else ()
-        )
+        seeds = args.seeds or ()
         if args.scale == "paper":
             # Full scale = the scenario's own registered preset; a
             # scenario without one raises a named ConfigurationError

@@ -98,17 +98,6 @@ class Node:
         self._machines[name] = machine
         return machine
 
-    def remove_machine(self, name: str) -> Machine:
-        """Destroy a machine (must be idle)."""
-        machine = self._machines.get(name)
-        if machine is None:
-            raise PlacementError(f"no machine {name} on node {self.name}")
-        if machine.busy:
-            raise PlacementError(
-                f"machine {name} still hosts {machine.occupant.name}"
-            )
-        return self._machines.pop(name)
-
     def host(self, resident: Resident, kind: MachineKind) -> Machine:
         """Place ``resident`` on a free machine of ``kind`` (create one if
         a slot is available)."""

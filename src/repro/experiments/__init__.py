@@ -11,7 +11,7 @@
   (threshold, matrix update mode, predictor fidelity, hierarchy,
   monitor noise) that the paper mentions but does not evaluate.
 - :mod:`repro.experiments.report` — plain-text tables/series renderers
-  shared by the drivers, examples and benchmarks.
+  shared by the drivers and examples.
 
 Import a driver by its module (``from repro.experiments import fig6``):
 the package itself imports none of them, so a command loads only the

@@ -10,9 +10,10 @@ Quantifies the qualitative claims the paper makes in prose:
 - :func:`pcs_convergence` — how PCS's per-interval latency series
   settles as migrations accumulate within one run.
 
-The ``summary_*`` variants run the same analyses over a multi-seed
-:class:`~repro.sim.aggregate.SweepSummary`, so per-seed reduction goes
-through the shared aggregate layer instead of a private loop.
+:func:`summary_crossover_rate` runs the crossover scan over a
+multi-seed :class:`~repro.sim.aggregate.SweepSummary`, so per-seed
+reduction goes through the shared aggregate layer instead of a private
+loop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.report import format_ci, render_table
+from repro.experiments.report import render_table
 from repro.sim.aggregate import SweepSummary
 from repro.sim.runner import PolicyResult
 
@@ -32,10 +33,8 @@ __all__ = [
     "dominance_table",
     "pcs_convergence",
     "predicted_policy_latency",
-    "predicted_latency_curve",
     "predicted_crossover_rate",
     "summary_crossover_rate",
-    "summary_dominance_table",
 ]
 
 
@@ -206,21 +205,6 @@ def predicted_policy_latency(
     )
 
 
-def predicted_latency_curve(
-    topology,
-    policy,
-    rates: Sequence[float],
-    service_scale: float = 1.0,
-) -> Dict[float, float]:
-    """:func:`predicted_policy_latency` over a rate grid."""
-    return {
-        float(rate): predicted_policy_latency(
-            topology, policy, float(rate), service_scale=service_scale
-        )
-        for rate in rates
-    }
-
-
 def predicted_crossover_rate(
     topology,
     technique,
@@ -286,71 +270,6 @@ def dominance_table(
         ["rate (req/s)", "best", "best (ms)", "runner-up", "margin"],
         rows,
         title=f"Policy dominance by arrival rate ({metric})",
-    )
-
-
-def summary_dominance_table(
-    summary: SweepSummary, metric: str = "component_latency.p99"
-) -> str:
-    """Who wins at each rate on seed-mean metrics, with the winner's CI.
-
-    The multi-seed sibling of :func:`dominance_table`: ranks by the
-    aggregate layer's seed-means and shows the winner's Student-t
-    interval so a photo-finish is visible as overlapping CIs.  The last
-    column is the *paired* runner-up − best interval
-    (:meth:`~repro.sim.aggregate.SweepSummary.paired_diff`): policies
-    share seeds, so the per-seed deltas cancel common variation — a
-    paired interval excluding 0 means the win is real even when the
-    two marginal CIs overlap.
-    """
-    rates = summary.rates()
-    if not rates:
-        raise ExperimentError("empty summary")
-    rows = []
-    for rate in rates:
-        ranked = sorted(
-            ((name, summary.get(name, rate)[metric]) for name in summary.policies()),
-            key=lambda kv: kv[1].mean,
-        )
-        best_name, best = ranked[0]
-        runner_up_name, runner_up = ranked[1] if len(ranked) > 1 else ranked[0]
-        margin = runner_up.mean / best.mean
-        if runner_up_name != best_name:
-            try:
-                delta = summary.paired_diff(
-                    runner_up_name, best_name, rate, metrics=[metric]
-                )[metric]
-            except ExperimentError:
-                # Lopsided seed sets (e.g. a partially rerun cache)
-                # cannot be paired; the table still renders.
-                paired = "n/a"
-            else:
-                paired = format_ci(delta.t_lo * 1e3, delta.t_hi * 1e3, digits=2)
-        else:
-            paired = "n/a"
-        rows.append(
-            [
-                f"{rate:g}",
-                best_name,
-                f"{best.mean * 1e3:.1f}",
-                format_ci(best.t_lo * 1e3, best.t_hi * 1e3, digits=1),
-                runner_up_name,
-                f"{margin:.2f}x",
-                paired,
-            ]
-        )
-    return render_table(
-        [
-            "rate (req/s)",
-            "best",
-            "mean (ms)",
-            f"{summary.config.confidence:.0%} CI (ms)",
-            "runner-up",
-            "margin",
-            "paired Δ (ms)",
-        ],
-        rows,
-        title=f"Policy dominance by arrival rate ({metric}, seed-mean)",
     )
 
 

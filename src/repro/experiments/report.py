@@ -2,7 +2,7 @@
 
 The paper's artifacts are figures; a terminal reproduction renders the
 same data as aligned tables and simple horizontal bar charts, which is
-what the benchmark harness prints and EXPERIMENTS.md records.
+what the ``repro`` subcommands print.
 """
 
 from __future__ import annotations

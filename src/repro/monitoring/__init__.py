@@ -12,7 +12,7 @@ therefore sees *estimates*, never the simulator's ground truth.
 from repro.monitoring.arrival import ArrivalRateEstimator
 from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
 from repro.monitoring.samples import ContentionSample, SampleWindow
-from repro.monitoring.streaming import P2Quantile, StreamingMoments
+from repro.monitoring.streaming import P2Quantile
 
 __all__ = [
     "ContentionSample",
@@ -20,6 +20,5 @@ __all__ = [
     "MonitorConfig",
     "OnlineMonitor",
     "ArrivalRateEstimator",
-    "StreamingMoments",
     "P2Quantile",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import MonitoringError
 
 __all__ = ["ArrivalRateEstimator"]
@@ -64,24 +62,6 @@ class ArrivalRateEstimator:
             self._estimate = a * rate + (1 - a) * self._estimate
         self.windows_observed += 1
         return self._estimate
-
-    def observe_poisson(
-        self, true_rate: float, rng: np.random.Generator, n_windows: int = 1
-    ) -> float:
-        """Simulate profiling ``n_windows`` windows of a Poisson stream.
-
-        The estimator sees only counts, so its output carries the
-        statistical error a real log profiler would have.
-        """
-        if true_rate < 0:
-            raise MonitoringError(f"true_rate must be >= 0, got {true_rate}")
-        if n_windows <= 0:
-            raise MonitoringError(f"n_windows must be positive, got {n_windows}")
-        out = 0.0
-        for _ in range(n_windows):
-            count = int(rng.poisson(true_rate * self.window_s))
-            out = self.record_count(count)
-        return out
 
     def reset(self) -> None:
         """Forget all history."""

@@ -1,19 +1,14 @@
-"""Streaming statistics for online latency monitoring.
+"""Constant-memory statistics for the live control plane.
 
-A production PCS deployment cannot buffer every request latency to
-compute tail percentiles at each scheduling interval; it needs constant
--memory estimators.  This module provides the two standard tools:
-
-- :class:`StreamingMoments` — Welford's online mean/variance (exact),
-  which is how a monitor maintains the ``x̄`` and ``var(x)`` that
-  Eq. 2 consumes over a window;
 - :class:`P2Quantile` — the Jain & Chlamtac (1985) P² algorithm: a
   five-marker parabolic estimator of an arbitrary quantile in O(1)
-  memory and O(1) per observation, used for the 99th-percentile
-  component-latency metric.
-
-Both are deterministic, mergeable into the interval loop, and
-property-tested against exact NumPy computations.
+  memory and O(1) per observation, deterministic and property-tested
+  against exact NumPy percentiles;
+- :class:`RollingGauge` — the last ``horizon`` windows' latency
+  summaries that ``/status`` and ``/metrics`` report;
+- :class:`ReissueThresholdFeed` — a P² median over per-window
+  percentiles, the cross-window timer the adaptive routing kernels
+  read.
 """
 
 from __future__ import annotations
@@ -27,98 +22,10 @@ import numpy as np
 from repro.errors import MonitoringError
 
 __all__ = [
-    "StreamingMoments",
     "P2Quantile",
     "RollingGauge",
     "ReissueThresholdFeed",
 ]
-
-
-class StreamingMoments:
-    """Welford's numerically stable online mean and variance."""
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        """Fold one observation in."""
-        if not math.isfinite(x):
-            raise MonitoringError(f"observation must be finite, got {x}")
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-
-    def add_many(self, xs) -> None:
-        """Fold a batch in (loops internally; order-independent result
-        up to floating point)."""
-        for x in np.asarray(xs, dtype=np.float64).ravel():
-            self.add(float(x))
-
-    def add_batch(self, xs) -> None:
-        """Fold a batch in with O(1) Python work (vectorised).
-
-        Computes the batch's moments with NumPy and Chan-merges them,
-        so folding a million-observation chunk costs one reduction
-        instead of a million :meth:`add` calls.  The result differs
-        from element-wise :meth:`add` only by float rounding (both are
-        numerically stable); the streaming simulator's at-scale
-        accumulators (:mod:`repro.sim.estimators`) use this entry point.
-        """
-        arr = np.asarray(xs, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        if not np.all(np.isfinite(arr)):
-            raise MonitoringError("batch observations must all be finite")
-        batch = StreamingMoments()
-        batch._n = int(arr.size)
-        batch._mean = float(arr.mean())
-        centered = arr - batch._mean
-        batch._m2 = float(np.dot(centered, centered))
-        self.merge(batch)
-
-    @property
-    def n(self) -> int:
-        """Number of observations."""
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        """Running mean."""
-        if self._n == 0:
-            raise MonitoringError("no observations yet")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance (matches ``numpy.var``)."""
-        if self._n == 0:
-            raise MonitoringError("no observations yet")
-        return self._m2 / self._n
-
-    @property
-    def scv(self) -> float:
-        """Squared coefficient of variation — Eq. 2's C²ₓ."""
-        m = self.mean
-        if m <= 0:
-            raise MonitoringError("scv undefined for non-positive mean")
-        return self.variance / (m * m)
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """Combine two windows (Chan et al. parallel update)."""
-        if other._n == 0:
-            return self
-        if self._n == 0:
-            self._n, self._mean, self._m2 = other._n, other._mean, other._m2
-            return self
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._n * other._n / n
-        self._mean += delta * other._n / n
-        self._n = n
-        return self
 
 
 class P2Quantile:
@@ -237,23 +144,17 @@ class RollingGauge:
 
     The live control plane's monitor phase feeds one ``(p99, mean, n)``
     record per completed window.  The gauge keeps the last ``horizon``
-    records exactly (the rolling window a dashboard reads) plus two
-    constant-memory cumulative estimators over the whole stream: a
-    :class:`P2Quantile` of the per-window p99 series — the incremental
-    tail-of-tails a long-running service exposes without ever buffering
-    raw latencies — and :class:`StreamingMoments` of the per-window
-    means.  Deterministic, RNG-free, and never consulted by the batch
-    replay path (bit-identity there is untouched).
+    records exactly (the rolling window a dashboard reads) and counts
+    every window it has seen.  Deterministic, RNG-free, and never
+    consulted by the batch replay path (bit-identity there is
+    untouched).
     """
 
-    def __init__(self, horizon: int = 60, q: float = 0.99) -> None:
+    def __init__(self, horizon: int = 60) -> None:
         if horizon < 1:
             raise MonitoringError(f"horizon must be >= 1, got {horizon}")
         self.horizon = int(horizon)
         self._records: deque = deque(maxlen=self.horizon)
-        self._p99_tail = P2Quantile(q)
-        self._mean_moments = StreamingMoments()
-        self._total_requests = 0
         self._windows = 0
 
     def observe_window(self, p99: float, mean: float, n: int) -> None:
@@ -265,20 +166,12 @@ class RollingGauge:
                 f"window summaries must be finite, got p99={p99}, mean={mean}"
             )
         self._records.append((float(p99), float(mean), int(n)))
-        self._p99_tail.add(float(p99))
-        self._mean_moments.add(float(mean))
-        self._total_requests += int(n)
         self._windows += 1
 
     @property
     def windows(self) -> int:
         """Completed windows observed (including rolled-off ones)."""
         return self._windows
-
-    @property
-    def total_requests(self) -> int:
-        """Requests observed across all windows."""
-        return self._total_requests
 
     @property
     def last(self) -> Optional[Dict[str, float]]:
@@ -306,16 +199,6 @@ class RollingGauge:
             "windows": float(len(records)),
         }
 
-    @property
-    def p99_tail_estimate(self) -> float:
-        """P² estimate of the per-window p99 series' own tail."""
-        return self._p99_tail.estimate
-
-    @property
-    def mean_of_window_means(self) -> float:
-        """Cumulative mean of the per-window means (Welford)."""
-        return self._mean_moments.mean
-
 
 class ReissueThresholdFeed:
     """Streaming reissue-timer gauge behind the adaptive routing kernels.
@@ -339,7 +222,6 @@ class ReissueThresholdFeed:
         self.min_observations = int(min_observations)
         self._median = P2Quantile(0.5)
         self._observations = 0
-        self._requests = 0
 
     def observe_window(self, threshold_s: float, n: int) -> None:
         """Fold one window/group's own-percentile observation in."""
@@ -352,7 +234,6 @@ class ReissueThresholdFeed:
             )
         self._median.add(float(threshold_s))
         self._observations += 1
-        self._requests += int(n)
 
     def current_threshold_s(self) -> Optional[float]:
         """The tuned timer, or ``None`` until warmed up."""
@@ -364,8 +245,3 @@ class ReissueThresholdFeed:
     def observations(self) -> int:
         """Per-window/group observations folded in so far."""
         return self._observations
-
-    @property
-    def total_requests(self) -> int:
-        """Requests behind those observations."""
-        return self._requests

@@ -9,7 +9,8 @@ of this paper."
 
 We implement both: the paper's static ε and the adaptive extension
 (ε as a fixed fraction of the currently predicted overall latency,
-clamped to a sane band), which the ablation benchmark compares.
+clamped to a sane band), which ``experiments.ablations.threshold_sweep``
+compares.
 """
 
 from __future__ import annotations

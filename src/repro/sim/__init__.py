@@ -10,7 +10,7 @@
   or fully streamed for 10⁶–10⁷-request intervals in O(chunk) memory.
 - :mod:`repro.sim.estimators` — the streaming latency-estimation layer
   behind those large runs: a mergeable seeded bottom-k reservoir plus
-  Welford/Chan moments behind one ``LatencyAccumulator`` seam, with a
+  a Chan running mean behind one ``LatencyAccumulator`` seam, with a
   documented rank-error contract.
 - :mod:`repro.sim.des_service` — a fine-grained event-driven reference
   simulator used to bound the vectorised path's stage-alignment

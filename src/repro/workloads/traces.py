@@ -56,7 +56,6 @@ __all__ = [
     "arrival_profile_names",
     "arrival_rate_multiplier",
     "arrival_rate_multipliers",
-    "register_arrival_profile",
 ]
 
 #: Median job duration implied by "50 % complete in 10 minutes".
@@ -248,27 +247,6 @@ _ARRIVAL_PROFILES: Dict[str, Callable[[int, int], float]] = {
     "burst": _burst,
     "flash-crowd": _flash_crowd,
 }
-
-
-def register_arrival_profile(
-    name: str, fn: Callable[[int, int], float], replace_existing: bool = False
-) -> None:
-    """Register a named arrival profile ``fn(interval, n_intervals)``.
-
-    Profiles must be pure (no RNG, no state): they are evaluated
-    independently in every worker process and inside cache-key hashing
-    paths, so the same name must always produce the same multipliers.
-    """
-    if not name:
-        raise WorkloadError("arrival profile name must be non-empty")
-    if not callable(fn):
-        raise WorkloadError(f"arrival profile {name!r} must be callable")
-    if name in _ARRIVAL_PROFILES and not replace_existing:
-        raise WorkloadError(
-            f"arrival profile {name!r} is already registered "
-            "(pass replace_existing=True to shadow it)"
-        )
-    _ARRIVAL_PROFILES[name] = fn
 
 
 def arrival_profile_names() -> List[str]:

@@ -132,7 +132,6 @@ class TestThresholdFeed:
         feed.observe_window(0.030, 100)
         assert feed.current_threshold_s() == pytest.approx(0.020)
         assert feed.observations == 3
-        assert feed.total_requests == 300
 
     def test_empty_windows_carry_no_information(self):
         feed = ReissueThresholdFeed()
@@ -163,7 +162,6 @@ class TestBoundRouting:
         # One observation per multi-replica group the interval routed
         # (the 2-replica segmenting group plus 3 searching groups).
         assert feed.observations == 4
-        assert feed.total_requests == 4 * out.n_requests
         assert feed.current_threshold_s() is not None
 
     def test_hedge_kernel_feeds_its_quantile_not_its_delay(self):

@@ -18,7 +18,6 @@ from repro.baselines.routing import (
     RedundancyKernel,
     ReissueKernel,
     register_routing_kernel,
-    registered_kernel_types,
     routing_kernel_for,
 )
 from repro.errors import ConfigurationError, SimulationError
@@ -111,7 +110,6 @@ class TestKernelRegistry:
         try:
             assert type(routing_kernel_for(MyPolicy())) is RedundancyKernel
         finally:
-            registered_kernel_types()  # snapshot API stays importable
             # remove the test registration so it cannot leak
             from repro.baselines import routing as routing_mod
 
@@ -121,11 +119,12 @@ class TestKernelRegistry:
         with pytest.raises(ConfigurationError):
             register_routing_kernel("not-a-class", lambda p: RandomSplitKernel())
 
-    def test_builtin_registrations_snapshotted(self):
-        types = registered_kernel_types()
+    def test_builtin_policies_registered(self):
+        from repro.baselines.routing import _KERNEL_FACTORIES
+
         for cls in (Policy, BasicPolicy, REDPolicy, ReissuePolicy,
                     HedgedPolicy, PCSPolicy):
-            assert cls in types
+            assert cls in _KERNEL_FACTORIES
 
 
 class TestKernelValidation:

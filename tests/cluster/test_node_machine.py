@@ -73,12 +73,10 @@ class TestNodeCapacity:
 
 
 class TestNodeMachines:
-    def test_add_and_remove_machine(self):
+    def test_add_machine_takes_a_slot(self):
         node = Node("n0")
         node.add_machine("vm-a")
         assert node.free_slots == NodeCapacity().machine_slots - 1
-        node.remove_machine("vm-a")
-        assert node.free_slots == NodeCapacity().machine_slots
 
     def test_duplicate_machine_name_rejected(self):
         node = Node("n0")
@@ -92,12 +90,6 @@ class TestNodeMachines:
         node.add_machine("b")
         with pytest.raises(CapacityError):
             node.add_machine("c")
-
-    def test_remove_busy_machine_rejected(self):
-        node = Node("n0")
-        node.host(FakeResident("c"), MachineKind.SERVICE)
-        with pytest.raises(PlacementError):
-            node.remove_machine(node.machines[0].name)
 
     def test_host_reuses_idle_machine_of_same_kind(self):
         node = Node("n0")

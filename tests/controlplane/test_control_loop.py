@@ -4,7 +4,7 @@ plus the live-mode behaviours the batch path must never exhibit."""
 import pytest
 
 from repro.baselines.policies import BasicPolicy
-from repro.controlplane import ControlLoop, VirtualClock
+from repro.controlplane import ControlLoop, VirtualClock, WallClock
 from repro.errors import ControlPlaneError
 from repro.experiments.fig6 import paper_pcs_policy
 from repro.scenarios import get_scenario, scenario_names
@@ -166,3 +166,38 @@ class TestLiveMode:
         state = runner.setup(BasicPolicy())
         with pytest.raises(ControlPlaneError, match="history_limit"):
             ControlLoop(runner, state, history_limit=0)
+
+
+@pytest.mark.tier2
+class TestLiveWindowsOnWallClock:
+    """24 live fanout-feed windows on a wall clock dilated until pacing
+    costs nothing: the hot path of ``repro serve``."""
+
+    N_WINDOWS = 24
+
+    def _runner(self, summary_mode):
+        return _runner(
+            "fanout-feed", arrival_rate=40.0, n_intervals=self.N_WINDOWS,
+            warmup_intervals=0, n_profiling_conditions=8, scale=0.5,
+            trace_profile="burst", summary_mode=summary_mode,
+        )
+
+    def test_every_window_decides_within_the_window(self):
+        # The batch replay of the same seeded world serves requests.
+        assert self._runner("exact").run(paper_pcs_policy()).n_requests > 0
+
+        runner = self._runner("streaming")
+        state = runner.setup(paper_pcs_policy())
+        clock = WallClock(origin=runner.config.churn_prewarm_s, dilation=1e6)
+        loop = ControlLoop(
+            runner, state, clock=clock, live=True,
+            history_limit=self.N_WINDOWS,
+        )
+        latencies = []
+        for window in range(self.N_WINDOWS):
+            loop.run_window(window)
+            latencies.append(loop.last_decision_latency_s)
+        assert loop.decide.n_decisions == self.N_WINDOWS
+        assert all(lat is not None for lat in latencies)
+        # The decision pass is a small fraction of an 8 s window.
+        assert max(latencies) < runner.config.interval_s

@@ -7,6 +7,9 @@ from repro.experiments.ablations import (
     AblationConfig,
     build_method_comparison,
     hierarchy_tradeoff,
+    monitor_noise_sensitivity,
+    predictor_fidelity,
+    threshold_sweep,
     update_mode_comparison,
 )
 
@@ -37,6 +40,44 @@ class TestAblations:
         assert "(flat)" in out
 
 
+SMALL = AblationConfig(
+    arrival_rate=100.0,
+    n_nodes=12,
+    n_intervals=5,
+    warmup_intervals=1,
+)
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize(
+    "ablation,kwargs,expected",
+    [
+        (threshold_sweep, {"cfg": SMALL, "epsilons_ms": (0.3, 1.0, 5.0)}, "Basic"),
+        (build_method_comparison, {}, "speedup"),
+        (predictor_fidelity, {"cfg": SMALL}, "oracle"),
+        (
+            hierarchy_tradeoff,
+            {"m": 480, "k": 32, "group_sizes": (120, 480)},
+            "group size",
+        ),
+        (
+            monitor_noise_sensitivity,
+            {"noise_scales": (0.0, 1.0, 5.0), "cfg": SMALL},
+            "noise",
+        ),
+    ],
+    ids=[
+        "threshold_sweep",
+        "build_method",
+        "predictor_fidelity",
+        "hierarchy",
+        "monitor_noise",
+    ],
+)
+def test_ablation_table_renders(ablation, kwargs, expected):
+    assert expected in ablation(**kwargs)
+
+
 class TestCLI:
     def test_parser_has_all_subcommands(self):
         parser = build_parser()
@@ -61,8 +102,8 @@ class TestCLI:
     def test_sweep_subcommand_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.policies == "Basic,PCS"
-        assert args.rates == "50,200"
-        assert args.seeds == "0"
+        assert args.rates == (50.0, 200.0)
+        assert args.seeds == (0,)
         assert args.workers == 1 and args.cache_dir is None
         assert args.aggregate is False
 
@@ -81,13 +122,29 @@ class TestCLI:
         assert args.json and args.gc
         assert build_parser().parse_args(
             ["fig6", "--seeds", "1,2,3"]
-        ).seeds == "1,2,3"
+        ).seeds == (1, 2, 3)
 
     def test_fig6_scale_choices(self):
         parser = build_parser()
         assert parser.parse_args(["fig6", "--scale", "paper"]).scale == "paper"
         with pytest.raises(SystemExit):
             parser.parse_args(["fig6", "--scale", "galactic"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rates", "50,abc"],
+            ["sweep", "--seeds", "0,x"],
+            ["fig6", "--seeds", "1,x"],
+            ["sweep", "--rates", ","],
+        ],
+        ids=["sweep-rates", "sweep-seeds", "fig6-seeds", "sweep-empty-rates"],
+    )
+    def test_malformed_number_list_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -10,8 +10,18 @@ from repro.experiments.fig6 import (
     paper_pcs_policy,
     run_fig6,
 )
-from repro.experiments.fig7 import Fig7Config, make_instance, run_fig7
+from repro.experiments.fig7 import (
+    PAPER_INTERVAL_S,
+    Fig7Config,
+    _oracle,
+    make_instance,
+    run_fig7,
+)
+from repro.scheduler.hierarchical import HierarchicalScheduler
+from repro.scheduler.pcs import PCSScheduler, SchedulerConfig
+from repro.scheduler.threshold import StaticThreshold
 from repro.service.nutch import NutchConfig
+from repro.units import ms
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +272,68 @@ class TestFig7:
             Fig7Config(sizes=())
         with pytest.raises(ExperimentError):
             Fig7Config(repeats=0)
+
+
+@pytest.mark.tier2
+class TestFig6QuickShape:
+    def test_paper_shape_at_light_and_heavy_load(self):
+        """Three rates on 16 nodes keep every qualitative feature of
+        the paper's figure."""
+        result = run_fig6(
+            Fig6Config(
+                arrival_rates=(20.0, 100.0, 300.0),
+                n_nodes=16,
+                n_intervals=6,
+                warmup_intervals=1,
+                seed=7,
+                nutch=NutchConfig(n_search_groups=10, replicas_per_group=4),
+            )
+        )
+        rates = sorted(result.results)
+        heavy = result.results[rates[-1]]
+        light = result.results[rates[0]]
+        # PCS beats Basic and every mitigation technique at heavy load.
+        for name in heavy:
+            if name != "PCS":
+                assert (
+                    heavy["PCS"].overall_mean_s < heavy[name].overall_mean_s
+                ), name
+        # Redundancy helps at light load but hurts at heavy load.
+        assert light["RED-3"].overall_mean_s < light["Basic"].overall_mean_s
+        assert heavy["RED-3"].overall_mean_s > heavy["Basic"].overall_mean_s
+        # RED-5 is the worst technique at heavy load.
+        assert heavy["RED-5"].overall_mean_s == max(
+            r.overall_mean_s for r in heavy.values()
+        )
+        # Reissue degrades more gracefully than redundancy.
+        assert heavy["RI-90"].overall_mean_s < heavy["RED-3"].overall_mean_s
+        head = result.headline_reduction()
+        assert head["tail"] > 0 and head["mean"] > 0
+
+
+@pytest.mark.tier2
+class TestFig7PaperGrid:
+    """One decision per Fig. 7 point up to the paper's 640x128, and
+    §VI-D's grouped strategy beyond 640 components."""
+
+    CONFIG = SchedulerConfig(threshold=StaticThreshold(ms(1)))
+
+    @pytest.mark.parametrize(
+        "m,k",
+        [(40, 8), (80, 16), (160, 32), (320, 64), (640, 128)],
+    )
+    def test_flat_decision_under_2pct_of_interval(self, m, k):
+        inputs = make_instance(m, k, np.random.default_rng(0))
+        outcome = PCSScheduler(_oracle(), self.CONFIG).schedule(inputs)
+        assert outcome.total_time_s < 0.02 * PAPER_INTERVAL_S
+
+    @pytest.mark.parametrize("m", [1280, 2560])
+    def test_hierarchical_decision_migrates(self, m):
+        inputs = make_instance(m, 128, np.random.default_rng(0))
+        outcome = HierarchicalScheduler(
+            _oracle(), self.CONFIG, group_size=640
+        ).schedule(inputs)
+        assert outcome.n_migrations > 0
 
 
 class TestPaperScalePresets:

@@ -217,7 +217,10 @@ class TestArrivalRateEstimator:
     def test_poisson_observation_concentrates(self):
         rng = np.random.default_rng(5)
         est = ArrivalRateEstimator(window_s=10.0, smoothing=1.0)
-        rates = [est.observe_poisson(100.0, rng) for _ in range(300)]
+        rates = [
+            est.record_count(int(rng.poisson(100.0 * 10.0)))
+            for _ in range(300)
+        ]
         assert np.mean(rates) == pytest.approx(100.0, rel=0.02)
         assert np.std(rates) == pytest.approx(np.sqrt(100.0 / 10.0), rel=0.3)
 

@@ -6,65 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MonitoringError
-from repro.monitoring.streaming import P2Quantile, StreamingMoments
-
-
-class TestStreamingMoments:
-    @given(
-        xs=st.lists(
-            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_numpy(self, xs):
-        sm = StreamingMoments()
-        sm.add_many(xs)
-        assert sm.n == len(xs)
-        assert sm.mean == pytest.approx(np.mean(xs), rel=1e-9, abs=1e-9)
-        assert sm.variance == pytest.approx(np.var(xs), rel=1e-7, abs=1e-7)
-
-    @given(
-        a=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50),
-        b=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_concatenation(self, a, b):
-        left, right = StreamingMoments(), StreamingMoments()
-        left.add_many(a)
-        right.add_many(b)
-        left.merge(right)
-        both = a + b
-        assert left.n == len(both)
-        assert left.mean == pytest.approx(np.mean(both), rel=1e-9, abs=1e-9)
-        assert left.variance == pytest.approx(np.var(both), rel=1e-7, abs=1e-7)
-
-    def test_merge_with_empty(self):
-        sm = StreamingMoments()
-        sm.add_many([1.0, 2.0])
-        sm.merge(StreamingMoments())
-        assert sm.n == 2
-        empty = StreamingMoments()
-        empty.merge(sm)
-        assert empty.mean == pytest.approx(1.5)
-
-    def test_scv_matches_definition(self):
-        sm = StreamingMoments()
-        xs = [0.004, 0.006, 0.008, 0.012]
-        sm.add_many(xs)
-        assert sm.scv == pytest.approx(np.var(xs) / np.mean(xs) ** 2)
-
-    def test_empty_access_rejected(self):
-        sm = StreamingMoments()
-        with pytest.raises(MonitoringError):
-            sm.mean
-        with pytest.raises(MonitoringError):
-            sm.variance
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(MonitoringError):
-            StreamingMoments().add(float("nan"))
+from repro.monitoring.streaming import P2Quantile
 
 
 class TestP2Quantile:
@@ -153,7 +95,6 @@ class TestRollingGauge:
     def test_empty_gauge(self):
         g = self._gauge()
         assert g.windows == 0
-        assert g.total_requests == 0
         assert g.last is None
         assert g.rolling() is None
 
@@ -176,11 +117,8 @@ class TestRollingGauge:
         # The spike rolled out of the horizon...
         assert g.rolling()["p99"] == 0.01
         assert g.rolling()["windows"] == 2.0
-        # ...but cumulative counters still saw it.
+        # ...but the window count still saw it.
         assert g.windows == 3
-        assert g.total_requests == 30
-        assert g.p99_tail_estimate > 0.0
-        assert g.mean_of_window_means == pytest.approx((9.0 + 0.02) / 3)
 
     def test_validation(self):
         from repro.monitoring.streaming import RollingGauge

@@ -1,10 +1,14 @@
 """Tests for the execution-backend seam (:mod:`repro.sim.backends`)."""
 
 import pickle
+import time
 
 import pytest
 
+from repro.baselines.policies import BasicPolicy, REDPolicy
 from repro.errors import ConfigurationError, WorkerTaskError
+from repro.experiments.fig6 import paper_pcs_policy
+from repro.service.nutch import NutchConfig
 from repro.sim.backends import (
     BACKEND_NAMES,
     EXPENSIVE_POINT_CUTOFF_S,
@@ -16,6 +20,9 @@ from repro.sim.backends import (
     backend_from_name,
     resolve_backend,
 )
+from repro.sim.runner import RunnerConfig
+from repro.sim.sweep import ParallelSweepRunner, SweepSpec
+from repro.workloads.generator import GeneratorConfig
 
 
 def _square(x: int) -> int:
@@ -85,6 +92,54 @@ class TestProcessBackendFailure:
         assert "deliberate failure" in str(err.value)
         assert all(index != 2 for index, _ in collected)
         assert all(result == [1, 9, None, 16][i] for i, result in collected)
+
+
+@pytest.mark.tier2
+def test_serial_beats_spawn_on_a_small_grid():
+    """On a 6-point grid ``auto`` stays inline, and rightly: every spawn
+    worker pays an interpreter start, the package's imports and a cold
+    predictor memo, which six cheap points cannot amortise, while the
+    inline path reuses all three."""
+    spec = SweepSpec(
+        base=RunnerConfig(
+            n_nodes=6,
+            arrival_rate=30.0,
+            interval_s=8.0,
+            n_intervals=3,
+            warmup_intervals=1,
+            seed=0,
+            nutch=NutchConfig(
+                n_search_groups=3, replicas_per_group=2,
+                n_segmenters=1, n_aggregators=1,
+            ),
+            generator=GeneratorConfig(
+                jobs_per_node_per_s=0.02, max_batch_jobs_per_node=3
+            ),
+            n_profiling_conditions=8,
+        ),
+        policies=(BasicPolicy(), REDPolicy(replicas=2), paper_pcs_policy()),
+        arrival_rates=(30.0, 70.0),
+        seeds=(0,),
+    )
+    assert spec.n_points <= 8
+    auto = ParallelSweepRunner(spec, workers=4)._resolve_backend(
+        spec.n_points, []
+    )
+    assert auto.name == "serial"
+
+    timings, runs = {}, {}
+    for backend in (SerialBackend(), ProcessBackend(4)):
+        t0 = time.perf_counter()
+        runs[backend.name] = ParallelSweepRunner(
+            spec, workers=4, backend=backend
+        ).run()
+        timings[backend.name] = time.perf_counter() - t0
+    for point in spec.points():
+        assert (
+            runs["process"].results[point].metrics_dict()
+            == runs["serial"].results[point].metrics_dict()
+        ), point.describe()
+    assert timings["serial"] < timings["process"], timings
 
 
 class TestFactories:

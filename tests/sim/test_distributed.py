@@ -722,6 +722,29 @@ class TestWorkerCLI:
             )
 
 
+@pytest.mark.tier2
+class TestDispatchTax:
+    def test_round_trip_under_half_a_second_per_job(self, tmp_path):
+        """submit -> claim -> result -> consume with no compute in
+        between: the filesystem overhead every spool job pays on top of
+        its compute.  A local disk measures a few ms; the ceiling leaves
+        room for shared CI filesystems."""
+        spool = SweepSpool(tmp_path / "spool").ensure()
+        entry = encode_task(0, (_tiny_base(), BasicPolicy()))
+        rounds = 50
+        t0 = time.perf_counter()
+        for i in range(rounds):
+            job_id = f"tax-{i:06d}"
+            spool.submit_job(job_id, "tax", entry)
+            assert spool.claim(job_id) is not None
+            spool.write_result(job_id, {"status": "ok", "result": {}})
+            spool.release_claim(job_id)
+            assert spool.read_result(job_id) is not None
+            spool.consume_result(job_id)
+        per_job_s = (time.perf_counter() - t0) / rounds
+        assert per_job_s < 0.5, f"{per_job_s:.3f} s per spool round trip"
+
+
 def _worker_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EstimatorError
-from repro.monitoring.streaming import P2Quantile, StreamingMoments
+from repro.monitoring.streaming import P2Quantile
 from repro.rng import RngRegistry
 from repro.sim.estimators import (
     DEFAULT_RESERVOIR_SIZE,
@@ -321,30 +321,6 @@ class TestStdlibFallbackProperties:
     def test_reservoir_deterministic(self, seed):
         _, values = self._case(seed)
         check_reservoir_deterministic(values, seed)
-
-
-# ----------------------------------------------------------------------
-# moments kernel: batch fold == one-at-a-time fold
-# ----------------------------------------------------------------------
-class TestMomentsBatch:
-    def test_add_batch_matches_add_many(self):
-        rng = np.random.default_rng(2)
-        xs = rng.exponential(1.0, 5000)
-        one = StreamingMoments()
-        one.add_many(xs)
-        batched = StreamingMoments()
-        for part in np.array_split(xs, 9):
-            batched.add_batch(part)
-        assert batched.n == one.n
-        assert batched.mean == pytest.approx(one.mean, rel=1e-12)
-        assert batched.variance == pytest.approx(one.variance, rel=1e-9)
-
-    def test_add_batch_rejects_non_finite(self):
-        from repro.errors import MonitoringError
-
-        m = StreamingMoments()
-        with pytest.raises(MonitoringError):
-            m.add_batch([1.0, np.inf])
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,12 @@ from repro.service.nutch import NutchConfig, build_nutch_service
 from repro.sim.profiling import (
     ProfilingConfig,
     mixed_conditions,
-    paper_fig5_conditions,
     profile_component,
     train_predictor_for_service,
 )
 from repro.simcore.distributions import LogNormal
 from repro.units import gb, mb, ms
+from repro.workloads.batch import BatchJobSpec
 
 
 @pytest.fixture
@@ -33,21 +33,6 @@ def _rep():
 
 
 class TestConditions:
-    def test_paper_grid_shape(self):
-        conds = paper_fig5_conditions()
-        # 3 Hadoop workloads x 20 sizes + 3 Spark x 10 sizes.
-        assert len(conds) == 3 * 20 + 3 * 10
-        assert all(len(c) == 1 for c in conds)
-
-    def test_paper_size_ranges(self):
-        conds = paper_fig5_conditions()
-        hadoop = [c[0] for c in conds if c[0].profile.name.startswith("hadoop")]
-        spark = [c[0] for c in conds if c[0].profile.name.startswith("spark")]
-        assert min(j.input_mb for j in hadoop) == pytest.approx(mb(50))
-        assert max(j.input_mb for j in hadoop) == pytest.approx(gb(4))
-        assert min(j.input_mb for j in spark) == pytest.approx(mb(200))
-        assert max(j.input_mb for j in spark) == pytest.approx(gb(7))
-
     def test_mixed_conditions_counts(self, rng):
         conds = mixed_conditions(30, rng, max_jobs=3)
         assert len(conds) == 30
@@ -55,8 +40,6 @@ class TestConditions:
         assert any(len(c) == 0 for c in conds)  # idle-node condition
 
     def test_invalid_counts_rejected(self, rng):
-        with pytest.raises(ExperimentError):
-            paper_fig5_conditions(n_hadoop_sizes=0)
         with pytest.raises(ExperimentError):
             mixed_conditions(0, rng)
 
@@ -79,9 +62,8 @@ class TestProfileComponent:
         from repro.model.training import train_combined_model
 
         conds = [
-            c
-            for c in paper_fig5_conditions()
-            if c[0].profile.name == "hadoop.wordcount"
+            [BatchJobSpec.of("hadoop.wordcount", float(size))]
+            for size in np.geomspace(mb(50), gb(4), 20)
         ]
         cfg = ProfilingConfig(window_s=60.0, repetitions=3)
         interference = default_interference_model(0.02)

@@ -12,6 +12,7 @@ from repro.baselines.policies import (
 from repro.errors import SimulationError
 from repro.model.queueing import mg1_latency
 from repro.service.component import Component, ComponentClass
+from repro.service.nutch import build_nutch_service
 from repro.service.topology import ReplicaGroup, ServiceTopology, Stage
 from repro.sim.queue_sim import poisson_arrivals, simulate_service_interval
 from repro.simcore.distributions import Exponential, LogNormal
@@ -332,6 +333,28 @@ class TestReissuePolicy:
 
 
 class TestOutcomeBookkeeping:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            BasicPolicy(),
+            REDPolicy(replicas=3),
+            REDPolicy(replicas=5),
+            ReissuePolicy(quantile=0.90),
+            PCSPolicy(),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_every_policy_serves_the_nutch_service(self, policy):
+        """One interval of the full Nutch-like service at a moderate
+        rate: the inner loop of every Fig. 6 cell."""
+        service = build_nutch_service()
+        dists = {c.name: c.base_service for c in service.components}
+        out = simulate_service_interval(
+            service.topology, policy, 100.0, 30.0, dists,
+            np.random.default_rng(0),
+        )
+        assert out.n_requests > 0
+
     def test_every_component_has_samples_under_basic(self, rng):
         topo = _topology(n_groups=2, replicas=2)
         out = simulate_service_interval(

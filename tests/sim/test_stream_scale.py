@@ -1,15 +1,16 @@
 """Tier-2 memory-ceiling regression: 10⁶ arrivals, O(chunk) memory.
 
 Drives one fanout-feed interval with over a million Poisson arrivals
-through the chunked streaming path and asserts — under tracemalloc —
-that peak memory stays below a fixed budget that the monolithic pass
-(O(requests) sample arrays, several hundred MiB at this scale) cannot
-possibly meet.  This is the enforcement half of the contract whose
-before/after numbers ``benchmarks/bench_stream_scale.py`` records.
+twice under tracemalloc: once monolithically, keeping every sample
+array resident (O(requests) memory, several hundred MiB at this
+scale), and once through the chunked streaming path.  The streamed
+peak must stay below a fixed budget and below a third of the
+monolithic peak.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.baselines.policies import BasicPolicy
@@ -30,25 +31,45 @@ CHUNK = 32768
 PEAK_BUDGET_MIB = 120
 
 
+def _traced_peak(fn):
+    """(result, tracemalloc peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 @pytest.mark.tier2
 def test_million_request_interval_within_memory_budget():
     spec = get_scenario("fanout-feed")
     topology = spec.build_service(spec.runner_config()).topology
     dists = {c.name: c.base_service for c in topology.components}
 
+    mono, peak_mono = _traced_peak(
+        lambda: simulate_service_interval(
+            topology, BasicPolicy(), RATE, DURATION_S, dists,
+            np.random.default_rng(0),
+        )
+    )
+    n_mono = mono.request_latencies.size
+    del mono  # release the O(requests) arrays before the second pass
+
     rngs = RngRegistry(0)
     stream = IntervalAccumulatorSet.create(
         rng_for=lambda role: rngs.get(f"estimator-{role}")
     )
-    tracemalloc.start()
-    outcome = simulate_service_interval(
-        topology, BasicPolicy(), RATE, DURATION_S, dists,
-        rngs.get("requests"),
-        chunk_requests=CHUNK, stream_into=stream,
+    outcome, peak = _traced_peak(
+        lambda: simulate_service_interval(
+            topology, BasicPolicy(), RATE, DURATION_S, dists,
+            rngs.get("requests"),
+            chunk_requests=CHUNK, stream_into=stream,
+        )
     )
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
 
+    assert n_mono > 1_000_000
     assert stream.overall.n > 1_000_000
     assert outcome.streaming is stream
     assert outcome.request_latencies.size == 0  # nothing retained
@@ -56,6 +77,10 @@ def test_million_request_interval_within_memory_budget():
     assert peak_mib < PEAK_BUDGET_MIB, (
         f"streamed 10^6-request interval peaked at {peak_mib:.0f} MiB "
         f"(budget {PEAK_BUDGET_MIB} MiB)"
+    )
+    assert peak < peak_mono / 3, (
+        f"streamed peak {peak_mib:.0f} MiB is not under a third of the "
+        f"monolithic {peak_mono / 2**20:.0f} MiB"
     )
     # The summaries the memory bound pays for are actually usable.
     summary = stream.overall.summary()

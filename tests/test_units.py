@@ -6,12 +6,12 @@ import pytest
 from repro import units
 
 
-def test_ms_roundtrip():
-    assert units.to_ms(units.ms(250.0)) == pytest.approx(250.0)
+def test_ms_to_seconds():
+    assert units.ms(250.0) == pytest.approx(0.25)
 
 
-def test_us_roundtrip():
-    assert units.to_us(units.us(17.0)) == pytest.approx(17.0)
+def test_us_to_seconds():
+    assert units.us(17.0) == pytest.approx(17e-6)
 
 
 def test_minutes_and_hours():
@@ -19,8 +19,8 @@ def test_minutes_and_hours():
     assert units.hours(1) == 3600.0
 
 
-def test_gb_roundtrip():
-    assert units.to_gb(units.gb(3.5)) == pytest.approx(3.5)
+def test_gb_to_mb():
+    assert units.gb(3.5) == pytest.approx(3584.0)
 
 
 def test_kb_to_mb():

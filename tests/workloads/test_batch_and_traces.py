@@ -199,35 +199,13 @@ class TestArrivalProfiles:
         with pytest.raises(WorkloadError, match="n_intervals"):
             self._mult("stationary", 0)
 
-    def test_registration_guardrails(self):
-        from repro.workloads.traces import (
-            _ARRIVAL_PROFILES,
-            arrival_rate_multipliers,
-            register_arrival_profile,
-        )
-
-        with pytest.raises(WorkloadError, match="non-empty"):
-            register_arrival_profile("", lambda i, n: 1.0)
-        with pytest.raises(WorkloadError, match="callable"):
-            register_arrival_profile("notfn", "nope")
-        with pytest.raises(WorkloadError, match="already registered"):
-            register_arrival_profile("stationary", lambda i, n: 1.0)
-        register_arrival_profile("cli-test-ramp", lambda i, n: 1.0 + i)
-        try:
-            np.testing.assert_array_equal(
-                arrival_rate_multipliers("cli-test-ramp", 3), [1.0, 2.0, 3.0]
-            )
-        finally:
-            del _ARRIVAL_PROFILES["cli-test-ramp"]
-
     def test_non_positive_profile_output_rejected(self):
         from repro.workloads.traces import (
             _ARRIVAL_PROFILES,
             arrival_rate_multipliers,
-            register_arrival_profile,
         )
 
-        register_arrival_profile("cli-test-zero", lambda i, n: 0.0)
+        _ARRIVAL_PROFILES["cli-test-zero"] = lambda i, n: 0.0
         try:
             with pytest.raises(WorkloadError, match="non-positive"):
                 arrival_rate_multipliers("cli-test-zero", 2)
