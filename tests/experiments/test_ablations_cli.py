@@ -137,14 +137,25 @@ class TestCLI:
             ["sweep", "--seeds", "0,x"],
             ["fig6", "--seeds", "1,x"],
             ["sweep", "--rates", ","],
+            ["sweep", "--seeds", ","],
+            ["fig6", "--seeds", ","],
         ],
-        ids=["sweep-rates", "sweep-seeds", "fig6-seeds", "sweep-empty-rates"],
+        ids=[
+            "sweep-rates", "sweep-seeds", "fig6-seeds",
+            "sweep-empty-rates", "sweep-empty-seeds", "fig6-empty-seeds",
+        ],
     )
     def test_malformed_number_list_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    def test_empty_policy_list_is_an_error(self, capsys):
+        assert main(["sweep", "--policies", ","]) == 2
+        assert "--policies must name at least one value" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

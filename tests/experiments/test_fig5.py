@@ -5,10 +5,14 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.fig5 import (
+    HADOOP_WORKLOADS,
     PAPER_FIG5,
+    SPARK_WORKLOADS,
     Fig5Config,
+    _conditions_for,
     run_fig5,
 )
+from repro.units import gb, mb
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +58,30 @@ class TestConfig:
     def test_full_grid_is_paper_grid(self):
         cfg = Fig5Config()
         assert cfg.n_hadoop_sizes == 20 and cfg.n_spark_sizes == 10
+
+    def test_paper_grid_shape(self):
+        conds = {
+            w: _conditions_for(w, Fig5Config())
+            for w in HADOOP_WORKLOADS + SPARK_WORKLOADS
+        }
+        # 3 Hadoop workloads x 20 sizes + 3 Spark x 10 sizes.
+        assert sum(len(specs) for specs in conds.values()) == 3 * 20 + 3 * 10
+        for w, specs in conds.items():
+            assert all(spec.profile.name == w for spec in specs)
+
+    def test_paper_size_ranges(self):
+        def sizes(workloads):
+            return [
+                spec.input_mb
+                for w in workloads
+                for spec in _conditions_for(w, Fig5Config())
+            ]
+
+        hadoop, spark = sizes(HADOOP_WORKLOADS), sizes(SPARK_WORKLOADS)
+        assert min(hadoop) == pytest.approx(mb(50))
+        assert max(hadoop) == pytest.approx(gb(4))
+        assert min(spark) == pytest.approx(mb(200))
+        assert max(spark) == pytest.approx(gb(7))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ExperimentError):

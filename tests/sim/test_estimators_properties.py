@@ -15,7 +15,10 @@ error contract; this suite enforces it:
   :class:`repro.rng.RngRegistry` seeding — the kept set depends on the
   seed and the observation order, never on chunk boundaries;
 - **merging is associative** — per-interval accumulators combined in
-  any grouping produce the same run summary.
+  any grouping produce the same run summary;
+- **the streaming mean is exact up to float rounding** — folded one
+  observation or one batch at a time, or merged with another
+  accumulator, it matches NumPy's mean of everything folded in.
 
 Two engines drive the randomised properties, mirroring
 ``test_metrics_properties.py``: hypothesis when importable, and a
@@ -126,6 +129,59 @@ class TestEstimatorErrorContract:
         assert s.p99 == percentile(sample, 99)
         assert s.p50 == percentile(sample, 50)
         assert s.mean == float(sample.mean())
+
+
+# ----------------------------------------------------------------------
+# streaming mean: the Chan fold behind add() and merge()
+# ----------------------------------------------------------------------
+class TestStreamingMean:
+    @staticmethod
+    def _acc(seed: int = 0) -> LatencyAccumulator:
+        return LatencyAccumulator(
+            "streaming", rng=np.random.default_rng(seed), reservoir_size=32
+        )
+
+    @pytest.mark.parametrize("dist", POPULATIONS)
+    def test_matches_numpy(self, dist):
+        # One observation per add() is the Welford special case.
+        sample = _population(dist, 2000, seed=5)
+        acc = self._acc()
+        for x in sample:
+            acc.add([x])
+        assert acc.n == sample.size
+        assert acc.mean == pytest.approx(float(sample.mean()), rel=1e-9)
+
+    def test_batched_fold_matches_one_at_a_time(self):
+        xs = np.random.default_rng(2).exponential(1.0, 5000)
+        one = self._acc()
+        for x in xs:
+            one.add([x])
+        batched = self._acc()
+        for part in np.array_split(xs, 9):
+            batched.add(part)
+        assert batched.n == one.n
+        assert batched.mean == pytest.approx(one.mean, rel=1e-12)
+
+    def test_merge_equals_concatenation(self):
+        a = _population("pareto", 700, seed=11)
+        b = _population("bimodal", 300, seed=12)
+        left, right = self._acc(1), self._acc(2)
+        left.add(a)
+        right.add(b)
+        left.merge(right)
+        both = np.concatenate([a, b])
+        assert left.n == both.size
+        assert left.mean == pytest.approx(float(both.mean()), rel=1e-12)
+        assert left.summary().max == float(both.max())
+
+    def test_merge_with_empty(self):
+        full = self._acc(1)
+        full.add([1.0, 2.0])
+        full.merge(self._acc(2))
+        assert (full.n, full.mean) == (2, 1.5)
+        empty = self._acc(3)
+        empty.merge(full)
+        assert (empty.n, empty.mean) == (2, 1.5)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +408,12 @@ class TestMisuse:
         acc = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
         with pytest.raises(EstimatorError):
             acc.summary(label="empty interval")
+
+    def test_empty_streaming_mean_rejected(self):
+        acc = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
+        acc.add([])
+        with pytest.raises(EstimatorError):
+            acc.mean
 
     def test_negative_latency_rejected(self):
         acc = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
