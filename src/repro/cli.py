@@ -94,9 +94,9 @@ def _class_mix(text: str):
 def _number_list(convert, what: str):
     """argparse type for comma-separated ``--rates``/``--seeds`` lists.
 
-    A malformed entry or an empty list is a usage error (exit code 2),
-    like ``--classes`` and ``--workers``, not a traceback from the
-    command.
+    A malformed entry, an entry ``convert`` rejects (a non-positive
+    rate) or an empty list is a usage error (exit code 2), like
+    ``--classes`` and ``--workers``, not a traceback from the command.
     """
 
     def parse(text: str) -> tuple:
@@ -113,10 +113,6 @@ def _number_list(convert, what: str):
     return parse
 
 
-_rates = _number_list(float, "numbers")
-_seeds = _number_list(int, "integers")
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1 (workers, nodes, windows).
 
@@ -131,6 +127,21 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for rates and durations that must be > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+_rates = _number_list(_positive_float, "numbers")
+_seeds = _number_list(int, "integers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=11)
 
     pq = sub.add_parser("quick", help="Basic-vs-PCS at one arrival rate")
-    pq.add_argument("--rate", type=float, default=100.0)
+    pq.add_argument("--rate", type=_positive_float, default=100.0)
     pq.add_argument("--seed", type=int, default=0)
     add_scenario_args(pq)
     add_workload_args(pq)
@@ -310,24 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_seeds, default="0", help="comma-separated root seeds"
     )
     ps.add_argument(
-        "--nodes", type=int, default=None,
+        "--nodes", type=_positive_int, default=None,
         help="cluster size (default: the scenario's own default, "
         "16 for nutch-search)",
     )
     add_scenario_args(ps)
     add_workload_args(ps)
     ps.add_argument(
-        "--search-groups", type=int, default=10,
+        "--search-groups", type=_positive_int, default=10,
         help="searching-stage replica groups (nutch-search only; the "
         "fig6 quick preset — the paper-scale 20x5 topology needs "
         "~30 nodes)",
     )
     ps.add_argument(
-        "--replicas-per-group", type=int, default=4,
+        "--replicas-per-group", type=_positive_int, default=4,
         help="replicas per searching group (nutch-search only)",
     )
-    ps.add_argument("--intervals", type=int, default=6)
-    ps.add_argument("--interval-s", type=float, default=30.0)
+    ps.add_argument("--intervals", type=_positive_int, default=6)
+    ps.add_argument("--interval-s", type=_positive_float, default=30.0)
     ps.add_argument("--warmup-intervals", type=int, default=1)
     add_streaming_args(ps)
     ps.add_argument("--workers", type=_positive_int, default=1)
@@ -487,17 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario shape multiplier (default 1.0)",
     )
     return parser
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for rates and durations that must be > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
 
 
 def _shape_scale(args) -> float:

@@ -38,7 +38,6 @@ class Cluster:
         if not self._nodes:
             raise PlacementError("cluster needs at least one node")
         self._placement: Dict[int, Node] = {}  # id(resident) -> node
-        self._residents: Dict[int, Resident] = {}
         self._migrations = 0
 
     # ------------------------------------------------------------------
@@ -64,11 +63,6 @@ class Cluster:
     def nodes(self) -> List[Node]:
         """Nodes in index order (performance-matrix column order)."""
         return list(self._nodes.values())
-
-    @property
-    def node_names(self) -> List[str]:
-        """Node names in index order."""
-        return list(self._nodes)
 
     def node(self, name: str) -> Node:
         """Look a node up by name."""
@@ -110,7 +104,6 @@ class Cluster:
             )
         target.host(resident, kind)
         self._placement[id(resident)] = target
-        self._residents[id(resident)] = resident
         return target
 
     def remove(self, resident: Resident) -> None:
@@ -118,7 +111,6 @@ class Cluster:
         node = self._placement.pop(id(resident), None)
         if node is None:
             raise PlacementError(f"{resident.name} is not placed anywhere")
-        self._residents.pop(id(resident))
         node.evict(resident)
 
     def migrate(
@@ -158,14 +150,6 @@ class Cluster:
             raise PlacementError(f"{resident.name} is not placed anywhere")
         return node
 
-    def residents_on(self, node: Node | str) -> List[Resident]:
-        """All placed residents on a node (placement-map view)."""
-        target = self.node(node) if isinstance(node, str) else node
-        return [
-            r for rid, r in self._residents.items()
-            if self._placement[rid] is target
-        ]
-
     def placement_indices(self, residents: Sequence[Resident]) -> List[int]:
         """Node index of each resident — the allocation array ``A[m]``
         of Algorithm 1."""
@@ -178,13 +162,6 @@ class Cluster:
     def contention_for(self, resident: Resident) -> ResourceVector:
         """Contention vector observed by ``resident`` on its current node."""
         return self.node_of(resident).contention_for(resident)
-
-    def contention_on(
-        self, node: Node | str, exclude: Optional[Resident] = None
-    ) -> ResourceVector:
-        """Contention a (possibly hypothetical) resident would see on a node."""
-        target = self.node(node) if isinstance(node, str) else node
-        return target.contention_for(exclude)
 
     @property
     def migrations(self) -> int:

@@ -129,10 +129,6 @@ class Node:
             if machine.busy:
                 yield machine.occupant
 
-    def hosts(self, resident: Resident) -> bool:
-        """Whether ``resident`` currently runs on this node."""
-        return any(m.occupant is resident for m in self._machines.values())
-
     # ------------------------------------------------------------------
     # contention accounting
     # ------------------------------------------------------------------

@@ -9,9 +9,9 @@ The four phases (:mod:`repro.controlplane.phases`)
 ``MonitorPhase``
     reads the world: the noisy two-cadence contention windows of
     :mod:`repro.monitoring.monitor` (node windows drawn in cluster
-    order — the bit-pinned RNG sequence), frozen window snapshots, and
-    — live only — :mod:`repro.monitoring.streaming` incremental
-    latency gauges over a rolling window.
+    order — the bit-pinned RNG sequence), handed on as a frozen
+    snapshot, and — live only — :mod:`repro.monitoring.streaming`
+    incremental latency gauges over a rolling window.
 ``PredictPhase``
     turns a monitor snapshot into Algorithm 1's
     :class:`~repro.model.matrix.MatrixInputs`, and owns the Eq. 1

@@ -26,7 +26,6 @@ from repro.model.matrix import MatrixInputs
 from repro.model.predictor import LatencyPredictor, TrainedPredictor
 from repro.model.training import TrainingSet, train_combined_model
 from repro.monitoring.monitor import OnlineMonitor
-from repro.monitoring.samples import FrozenSampleWindow
 from repro.monitoring.streaming import ReissueThresholdFeed, RollingGauge
 from repro.scheduler.migration import MigrationExecutor
 from repro.scheduler.pcs import SchedulingOutcome
@@ -50,10 +49,8 @@ MIN_RETRAIN_SAMPLES = 8
 class MonitorSnapshot:
     """What one monitoring window hands to the predict phase.
 
-    Immutable by construction: the windows are frozen views
-    (:meth:`~repro.monitoring.monitor.OnlineMonitor.snapshot`) and the
-    node matrix is the one freshly drawn array — later monitor activity
-    cannot mutate a snapshot already taken.
+    Frozen, and its node matrix is the one freshly drawn array, so
+    later monitor activity cannot mutate a snapshot already taken.
     """
 
     #: Zero-based index of the window that produced this snapshot.
@@ -66,8 +63,6 @@ class MonitorSnapshot:
     #: ``(n_nodes, 4)`` noisy windowed node-total contention (Table
     #: III's ``U_nj``), rows in cluster-node order.
     node_totals: np.ndarray
-    #: Frozen per-component sampling windows at snapshot time.
-    windows: Mapping[str, FrozenSampleWindow]
 
 
 class MonitorPhase:
@@ -101,7 +96,7 @@ class MonitorPhase:
         self.threshold_feed = threshold_feed
 
     def observe(self, interval: int, outcome) -> MonitorSnapshot:
-        """One windowed observation of every node and component.
+        """One windowed observation of every node.
 
         The node-window draws consume the monitor's named RNG stream in
         cluster-node order — the exact sequence the pre-refactor inline
@@ -119,7 +114,6 @@ class MonitorPhase:
             n_requests=outcome.n_requests,
             service_arrival_rate=lam_service,
             node_totals=node_totals,
-            windows=self.monitor.snapshot(),
         )
 
     def record_window(self, p99: float, mean: float, n: int) -> None:

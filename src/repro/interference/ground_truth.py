@@ -181,10 +181,6 @@ class InterferenceModel:
     # ------------------------------------------------------------------
     # service-time views
     # ------------------------------------------------------------------
-    def mean_service_time(self, component, contention: ResourceVector) -> float:
-        """True mean service time of ``component`` under ``contention``."""
-        return component.base_service.mean * self.inflation(component.cls, contention)
-
     def service_distribution(self, component, contention: ResourceVector):
         """True service-time distribution under ``contention``.
 
@@ -195,11 +191,6 @@ class InterferenceModel:
         return component.base_service.scaled(
             self.inflation(component.cls, contention)
         )
-
-    def max_inflation(self, cls: ComponentClass) -> float:
-        """Inflation at full saturation of every resource (bound for tests)."""
-        coeff = self.coefficients_for(cls)
-        return 1.0 + float((1.0 + coeff.curvature) * coeff.as_array().sum())
 
 
 def default_interference_model(noise_sigma: float = 0.02) -> InterferenceModel:

@@ -4,8 +4,8 @@
   ``RG(U_sr)`` (step 1 of the basic model).
 - :mod:`repro.model.combined` — the relevance-weighted combination
   ``RG_ST(U)`` of paper **Eq. 1** (step 2).
-- :mod:`repro.model.queueing` — the M/G/1 expected latency of **Eq. 2**
-  (and its M/M/1 special case), scalar and vectorised.
+- :mod:`repro.model.queueing` — the M/G/1 expected latency of **Eq. 2**,
+  scalar and vectorised.
 - :mod:`repro.model.service_latency` — stage max / service sum of
   **Eqs. 3–4**.
 - :mod:`repro.model.predictor` — per-class latency predictors gluing
@@ -28,7 +28,6 @@ from repro.model.queueing import (
     mg1_latency,
     mg1_latency_array,
     mg1_waiting_time,
-    mm1_latency,
     utilisation,
 )
 from repro.model.regression import PolynomialRegressor, Regressor
@@ -47,7 +46,6 @@ __all__ = [
     "mg1_latency",
     "mg1_latency_array",
     "mg1_waiting_time",
-    "mm1_latency",
     "utilisation",
     "stage_latencies",
     "overall_latency",

@@ -28,7 +28,6 @@ __all__ = [
     "utilisation",
     "mg1_waiting_time",
     "mg1_latency",
-    "mm1_latency",
     "mg1_latency_array",
     "mg1_latency_unchecked",
     "quickest_of_k_latency",
@@ -65,15 +64,6 @@ def mg1_waiting_time(mean_service: float, scv: float, arrival_rate: float) -> fl
 def mg1_latency(mean_service: float, scv: float, arrival_rate: float) -> float:
     """Eq. 2: expected sojourn time x̄ + W."""
     return mean_service + mg1_waiting_time(mean_service, scv, arrival_rate)
-
-
-def mm1_latency(mean_service: float, arrival_rate: float) -> float:
-    """The M/M/1 special case ``1/(µ − λ)`` (Eq. 2 with C²ₓ = 1)."""
-    rho = utilisation(mean_service, arrival_rate)
-    if rho >= 1.0:
-        raise UnstableQueueError(f"unstable queue: rho = {rho:.3f} >= 1")
-    mu = 1.0 / mean_service
-    return 1.0 / (mu - arrival_rate)
 
 
 def mg1_latency_array(

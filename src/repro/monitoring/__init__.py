@@ -2,23 +2,20 @@
 
 The monitor is the only source of information the predictor is allowed
 to use: system-level contention (core usage, disk/network bandwidth)
-sampled every second, micro-architectural contention (shared-cache
-MPKI) sampled every minute — the paper's Perf/Oprofile cadences — plus
-the service's request arrival rate profiled from its logs.  All
-samples carry configurable relative measurement noise; the predictor
-therefore sees *estimates*, never the simulator's ground truth.
+sampled every second and micro-architectural contention (shared-cache
+MPKI) sampled every minute — the paper's Perf/Oprofile cadences.  All
+readings carry configurable relative measurement noise; the predictor
+therefore sees *estimates*, never the simulator's ground truth.  The
+service's request arrival rate is profiled from its log by the control
+plane's monitor phase (:class:`~repro.controlplane.phases.MonitorPhase`),
+as the window's request count over its length.
 """
 
-from repro.monitoring.arrival import ArrivalRateEstimator
 from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
-from repro.monitoring.samples import ContentionSample, SampleWindow
 from repro.monitoring.streaming import P2Quantile
 
 __all__ = [
-    "ContentionSample",
-    "SampleWindow",
     "MonitorConfig",
     "OnlineMonitor",
-    "ArrivalRateEstimator",
     "P2Quantile",
 ]

@@ -5,31 +5,23 @@ reports it with relative measurement noise, at the paper's two cadences
 (§VI-A: system-level counters once per second via /proc, micro-
 architectural counters once per minute via Perf/Oprofile).
 
-Two driving modes:
-
-- ``attach(engine)`` — periodic sampling events on a simulation engine;
-- ``observe(component)`` / ``observe_window(component, n_samples)`` —
-  immediate one-shot / averaged readings for interval-driven harnesses
-  that do not run a fine-grained event loop.
+A reading covers one scheduling interval: ``observe_window`` (one
+component's contention) and ``observe_node_window`` (a node's total
+resource use) return the average of the samples the two cadences would
+collect over ``duration_s``, drawn in one step instead of sample by
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.errors import MonitoringError
-from repro.monitoring.samples import (
-    ContentionSample,
-    FrozenSampleWindow,
-    SampleWindow,
-)
 from repro.service.component import Component
-from repro.simcore.engine import SimulationEngine
 
 __all__ = ["MonitorConfig", "OnlineMonitor"]
 
@@ -63,67 +55,30 @@ class MonitorConfig:
 
 
 class OnlineMonitor:
-    """Per-component contention windows with realistic sampling noise."""
+    """Windowed contention readings with realistic sampling noise."""
 
     def __init__(
-        self,
-        config: MonitorConfig,
-        cluster: Cluster,
-        components: Sequence[Component],
-        rng: np.random.Generator,
+        self, config: MonitorConfig, cluster: Cluster, rng: np.random.Generator
     ) -> None:
         self.config = config
         self.cluster = cluster
-        self.components = list(components)
-        if not self.components:
-            raise MonitoringError("monitor needs at least one component")
         self._rng = rng
-        self.windows: Dict[str, SampleWindow] = {
-            c.name: SampleWindow() for c in self.components
-        }
-        self._stops: List[Callable[[], None]] = []
-        self.samples_taken = 0
 
-    # ------------------------------------------------------------------
-    # noise
-    # ------------------------------------------------------------------
-    def _noisy(self, truth: ResourceVector, fresh_cache: bool) -> ResourceVector:
-        cfg = self.config
-        t = truth.as_array()
-        sigmas = np.array([cfg.core_noise, cfg.cache_noise, cfg.bw_noise, cfg.bw_noise])
-        noisy = t * (1.0 + sigmas * self._rng.standard_normal(4))
-        if not fresh_cache:
-            noisy[1] = t[1]  # carried-over value, replaced by window logic
-        return ResourceVector(*np.maximum(noisy, 0.0))
-
-    # ------------------------------------------------------------------
-    # one-shot observation (interval-driven harness)
-    # ------------------------------------------------------------------
-    def observe(self, component: Component, time: float = 0.0) -> ContentionSample:
-        """One noisy reading of a component's current contention."""
-        truth = self.cluster.contention_for(component)
-        sample = ContentionSample(
-            time=time, vector=self._noisy(truth, fresh_cache=True)
-        )
-        self.samples_taken += 1
-        return sample
-
-    def observe_window(
-        self, component: Component, duration_s: float, start_time: float = 0.0
+    def _windowed(
+        self, truth: ResourceVector, duration_s: float
     ) -> ResourceVector:
-        """Average of the readings one scheduling interval would collect.
+        """Average of the readings one ``duration_s`` window would collect.
 
         ``duration_s / system_period_s`` system samples and
         ``duration_s / micro_period_s`` micro samples — i.e. the
         variance reduction a real interval of monitoring provides,
-        without paying for the event loop.
+        without drawing every sample.
         """
         if duration_s <= 0:
             raise MonitoringError(f"duration must be positive, got {duration_s}")
         cfg = self.config
         n_sys = max(1, int(duration_s / cfg.system_period_s))
         n_micro = max(1, int(duration_s / cfg.micro_period_s))
-        truth = self.cluster.contention_for(component).as_array()
         scaled_sigmas = np.array(
             [
                 cfg.core_noise / np.sqrt(n_sys),
@@ -132,9 +87,17 @@ class OnlineMonitor:
                 cfg.bw_noise / np.sqrt(n_sys),
             ]
         )
-        noisy = truth * (1.0 + scaled_sigmas * self._rng.standard_normal(4))
-        self.samples_taken += n_sys
+        noisy = truth.as_array() * (
+            1.0 + scaled_sigmas * self._rng.standard_normal(4)
+        )
         return ResourceVector(*np.maximum(noisy, 0.0))
+
+    def observe_window(
+        self, component: Component, duration_s: float
+    ) -> ResourceVector:
+        """Windowed noisy estimate of one component's contention."""
+        truth = self.cluster.contention_for(component)
+        return self._windowed(truth, duration_s)
 
     def observe_node_window(self, node, duration_s: float) -> ResourceVector:
         """Windowed noisy estimate of a node's *total* resource use.
@@ -143,94 +106,4 @@ class OnlineMonitor:
         ``U_nj``): all residents plus background, before capacity
         clipping.
         """
-        if duration_s <= 0:
-            raise MonitoringError(f"duration must be positive, got {duration_s}")
-        cfg = self.config
-        n_sys = max(1, int(duration_s / cfg.system_period_s))
-        n_micro = max(1, int(duration_s / cfg.micro_period_s))
-        truth = node.total_demand().as_array()
-        scaled_sigmas = np.array(
-            [
-                cfg.core_noise / np.sqrt(n_sys),
-                cfg.cache_noise / np.sqrt(n_micro),
-                cfg.bw_noise / np.sqrt(n_sys),
-                cfg.bw_noise / np.sqrt(n_sys),
-            ]
-        )
-        noisy = truth * (1.0 + scaled_sigmas * self._rng.standard_normal(4))
-        self.samples_taken += n_sys
-        return ResourceVector(*np.maximum(noisy, 0.0))
-
-    # ------------------------------------------------------------------
-    # event-driven sampling
-    # ------------------------------------------------------------------
-    def attach(self, engine: SimulationEngine) -> None:
-        """Start periodic sampling on ``engine`` (idempotent per call)."""
-        cfg = self.config
-        self._stops.append(
-            engine.every(
-                cfg.system_period_s,
-                lambda: self._sample_all(engine.now, fresh_cache=False),
-                label="monitor-system",
-            )
-        )
-        self._stops.append(
-            engine.every(
-                cfg.micro_period_s,
-                lambda: self._sample_all(engine.now, fresh_cache=True),
-                label="monitor-micro",
-            )
-        )
-
-    def detach(self) -> None:
-        """Stop all periodic sampling."""
-        for stop in self._stops:
-            stop()
-        self._stops.clear()
-
-    def _sample_all(self, now: float, fresh_cache: bool) -> None:
-        for component in self.components:
-            truth = self.cluster.contention_for(component)
-            window = self.windows[component.name]
-            carried = window.last_fresh_cache()
-            sample_vec = self._noisy(truth, fresh_cache)
-            if not fresh_cache and carried is not None:
-                arr = sample_vec.as_array().copy()
-                arr[1] = carried
-                sample_vec = ResourceVector(*arr)
-            window.append(
-                ContentionSample(
-                    time=now, vector=sample_vec, cache_valid=fresh_cache
-                )
-            )
-            self.samples_taken += 1
-
-    # ------------------------------------------------------------------
-    # window access
-    # ------------------------------------------------------------------
-    def window_mean(self, component: Component) -> ResourceVector:
-        """Estimated contention vector over the current window."""
-        window = self.windows[component.name]
-        if window.empty:
-            raise MonitoringError(
-                f"no samples for {component.name}; monitor not attached?"
-            )
-        return window.mean()
-
-    def snapshot(self) -> Dict[str, FrozenSampleWindow]:
-        """Frozen point-in-time views of every component's window.
-
-        The control loop's monitor phase hands this across the phase
-        boundary instead of the live :attr:`windows`, so a decision is
-        always made against a consistent set of readings: samples
-        recorded (or windows cleared) after the snapshot never mutate
-        a view already taken.
-        """
-        return {
-            name: window.freeze() for name, window in self.windows.items()
-        }
-
-    def reset_windows(self) -> None:
-        """Clear all windows at a scheduling-interval boundary."""
-        for window in self.windows.values():
-            window.clear()
+        return self._windowed(node.total_demand(), duration_s)

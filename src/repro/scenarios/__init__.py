@@ -58,13 +58,6 @@ prints this catalog with live topology summaries (DAG scenarios show
 their stage predecessors and optional-group counts; classed scenarios
 append their class table).
 
-Importing a scenario
---------------------
-:mod:`repro.scenarios.callgraph` turns an Alibaba-style call-graph
-JSON edge list into a registered scenario
-(:func:`~repro.scenarios.callgraph.scenario_from_callgraph`), so real
-production traces can ride the same harness as the hand-built shapes.
-
 Adding a scenario
 -----------------
 1. Write a builder ``def build(config: RunnerConfig) -> OnlineService``
@@ -114,10 +107,6 @@ from repro.scenarios.builtin import (
     NUTCH_SEARCH,
     PIPELINE_DEEP,
 )
-from repro.scenarios.callgraph import (
-    load_callgraph,
-    scenario_from_callgraph,
-)
 
 __all__ = [
     "ScenarioSpec",
@@ -126,8 +115,6 @@ __all__ = [
     "scenario_names",
     "all_scenarios",
     "suggested_n_nodes",
-    "load_callgraph",
-    "scenario_from_callgraph",
     "NUTCH_SEARCH",
     "PIPELINE_DEEP",
     "FANOUT_FEED",

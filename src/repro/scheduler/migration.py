@@ -17,7 +17,7 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineKind
@@ -67,10 +67,6 @@ class MigrationCostModel:
             return 0.0
         return self.fixed_s + self.per_component_s * n_migrations
 
-    def paper_batch_consistent(self) -> bool:
-        """Self-check: 10–20 components within 3 seconds (§VI-C)."""
-        return self.enforcement_time_s(20) <= 3.0
-
 
 class MigrationExecutor:
     """Applies a :class:`SchedulingOutcome` to a live cluster."""
@@ -113,7 +109,3 @@ class MigrationExecutor:
             len(moved)
         )
         return moved
-
-    def warmup_components(self, outcome: SchedulingOutcome) -> List[Component]:
-        """Components that pay the warm-up penalty next interval."""
-        return [self.components[m.component_index] for m in outcome.migrations]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import TopologyError
@@ -120,12 +119,6 @@ class Component:
             raise TopologyError(f"load must be >= 0, got {rps}")
         self.load_rps = float(rps)
         self._refresh_effective_demand()
-
-    @property
-    def demand_scale(self) -> float:
-        """Current effective-demand multiplier."""
-        base = self.base_demand.norm()
-        return self.demand.norm() / base if base > 0 else 1.0
 
     @property
     def base_mean(self) -> float:

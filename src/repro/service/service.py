@@ -48,10 +48,6 @@ class OnlineService:
         """The paper's ``m``."""
         return self.topology.n_components
 
-    def components_of_class(self, cls: ComponentClass) -> List[Component]:
-        """All components of a profiling equivalence class."""
-        return [c for c in self.components if c.cls is cls]
-
     def classes(self) -> List[ComponentClass]:
         """Distinct component classes, in first-appearance order."""
         seen: Dict[ComponentClass, None] = {}

@@ -139,11 +139,6 @@ class Stage:
         """Fan-out width of the stage."""
         return len(self.groups)
 
-    @property
-    def max_replicas(self) -> int:
-        """Largest replica count over the stage's groups."""
-        return max(g.n_replicas for g in self.groups)
-
     def __iter__(self) -> Iterator[ReplicaGroup]:
         return iter(self.groups)
 

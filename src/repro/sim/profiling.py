@@ -129,7 +129,7 @@ def observe_condition(
             name=f"prof-job-{condition_tag}-{s_idx}",
         )
         cluster.place(job, node, MachineKind.BATCH)
-    monitor = OnlineMonitor(config.monitor, cluster, [representative], rng)
+    monitor = OnlineMonitor(config.monitor, cluster, rng)
     truth_u = cluster.contention_for(representative)
     n_requests = max(2, int(config.request_rate * config.window_s))
     windows = []

@@ -552,9 +552,7 @@ class ExperimentRunner:
         generator = BatchJobGenerator(cfg.generator, rngs.get("batch-churn"))
         generator.start(engine, cluster)
 
-        monitor = OnlineMonitor(
-            cfg.monitor, cluster, components, rngs.get("monitor")
-        )
+        monitor = OnlineMonitor(cfg.monitor, cluster, rngs.get("monitor"))
         scheduler = None
         executor = None
         if policy.schedules:

@@ -4,9 +4,9 @@ This subpackage provides the machinery every higher layer builds on:
 
 - :mod:`repro.simcore.events` — the event record and the time-ordered
   event queue (binary heap with deterministic FIFO tie-breaking).
-- :mod:`repro.simcore.engine` — the simulation engine: a virtual clock,
-  ``schedule``/``schedule_at`` and ``run_until``/``run`` drivers, and
-  periodic-callback helpers used by the monitor and the scheduler.
+- :mod:`repro.simcore.engine` — the simulation engine: a virtual clock
+  with ``schedule``/``schedule_at`` and ``run_until``/``run``; its
+  events are the batch-job generator's arrivals and departures.
 - :mod:`repro.simcore.distributions` — service-time / interarrival
   distributions with analytic moments (mean, variance, squared
   coefficient of variation) needed by the M/G/1 model of paper Eq. 2.
@@ -18,14 +18,9 @@ This subpackage provides the machinery every higher layer builds on:
 from repro.simcore.distributions import (
     Deterministic,
     Distribution,
-    Empirical,
     Exponential,
-    HyperExponential,
     LogNormal,
     Pareto,
-    ShiftedExponential,
-    Uniform,
-    Weibull,
 )
 from repro.simcore.engine import SimulationEngine
 from repro.simcore.events import Event, EventQueue
@@ -42,13 +37,8 @@ __all__ = [
     "Distribution",
     "Deterministic",
     "Exponential",
-    "ShiftedExponential",
-    "HyperExponential",
     "LogNormal",
     "Pareto",
-    "Uniform",
-    "Weibull",
-    "Empirical",
     "lindley_waits",
     "lindley_waits_reference",
     "sojourn_times",

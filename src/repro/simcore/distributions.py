@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +34,8 @@ __all__ = [
     "Distribution",
     "Deterministic",
     "Exponential",
-    "ShiftedExponential",
-    "HyperExponential",
     "LogNormal",
     "Pareto",
-    "Uniform",
-    "Weibull",
-    "Empirical",
 ]
 
 
@@ -82,12 +76,6 @@ class Distribution(ABC):
         if factor == 1.0:
             return self
         return _Scaled(self, float(factor))
-
-    def with_mean(self, mean: float) -> "Distribution":
-        """Return a rescaled copy whose mean is exactly ``mean``."""
-        if mean <= 0:
-            raise ConfigurationError(f"target mean must be positive, got {mean}")
-        return self.scaled(mean / self.mean)
 
 
 @dataclass(frozen=True)
@@ -167,75 +155,6 @@ class Exponential(Distribution):
 
 
 @dataclass(frozen=True)
-class ShiftedExponential(Distribution):
-    """``shift + Exp(mean_exp)`` — a minimum service time plus memoryless tail.
-
-    A realistic shape for RPC handlers: there is an incompressible
-    deserialisation/lookup floor plus a variable part.
-    """
-
-    shift: float
-    mean_exp: float
-
-    def __post_init__(self) -> None:
-        if self.shift < 0:
-            raise ConfigurationError(f"shift must be >= 0, got {self.shift}")
-        if self.mean_exp <= 0:
-            raise ConfigurationError(f"mean_exp must be > 0, got {self.mean_exp}")
-
-    @property
-    def mean(self) -> float:
-        return self.shift + self.mean_exp
-
-    @property
-    def var(self) -> float:
-        return self.mean_exp**2
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return self.shift + rng.exponential(self.mean_exp, size)
-
-
-@dataclass(frozen=True)
-class HyperExponential(Distribution):
-    """Mixture of exponentials (C²ₓ > 1; bursty / heavy-ish tails).
-
-    ``probs[i]`` selects an exponential with mean ``means[i]``.
-    """
-
-    probs: tuple
-    means: tuple
-
-    def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        means = tuple(float(m) for m in self.means)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "means", means)
-        if len(probs) != len(means) or not probs:
-            raise ConfigurationError("probs and means must be same non-zero length")
-        if any(p < 0 for p in probs) or not math.isclose(sum(probs), 1.0, abs_tol=1e-9):
-            raise ConfigurationError(f"probs must be a distribution, got {probs}")
-        if any(m <= 0 for m in means):
-            raise ConfigurationError(f"means must be positive, got {means}")
-
-    @property
-    def mean(self) -> float:
-        return sum(p * m for p, m in zip(self.probs, self.means))
-
-    @property
-    def var(self) -> float:
-        # E[X^2] for a mixture of exponentials: sum p_i * 2 m_i^2.
-        second = sum(p * 2.0 * m * m for p, m in zip(self.probs, self.means))
-        return second - self.mean**2
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        n = 1 if size is None else int(size)
-        branch = rng.choice(len(self.probs), size=n, p=np.asarray(self.probs))
-        means = np.asarray(self.means)[branch]
-        out = rng.exponential(1.0, n) * means
-        return float(out[0]) if size is None else out
-
-
-@dataclass(frozen=True)
 class LogNormal(Distribution):
     """Log-normal parameterised by its *actual* mean and C²ₓ.
 
@@ -304,100 +223,3 @@ class Pareto(Distribution):
     def sample(self, rng: np.random.Generator, size: int | None = None):
         # numpy's pareto is the Lomax (shifted) form: xm * (1 + Lomax).
         return self.xm * (1.0 + rng.pareto(self.alpha, size))
-
-
-@dataclass(frozen=True)
-class Uniform(Distribution):
-    """Uniform on ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low < self.high:
-            raise ConfigurationError(
-                f"need 0 <= low < high, got [{self.low}, {self.high}]"
-            )
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    @property
-    def var(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return rng.uniform(self.low, self.high, size)
-
-
-@dataclass(frozen=True)
-class Weibull(Distribution):
-    """Weibull with scale ``lam`` and shape ``k`` (C²ₓ < 1 for k > 1)."""
-
-    lam: float
-    k: float
-
-    def __post_init__(self) -> None:
-        if self.lam <= 0 or self.k <= 0:
-            raise ConfigurationError(
-                f"scale and shape must be > 0, got lam={self.lam}, k={self.k}"
-            )
-
-    @property
-    def mean(self) -> float:
-        return self.lam * math.gamma(1.0 + 1.0 / self.k)
-
-    @property
-    def var(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self.k)
-        g2 = math.gamma(1.0 + 2.0 / self.k)
-        return self.lam**2 * (g2 - g1 * g1)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        return self.lam * rng.weibull(self.k, size)
-
-
-class Empirical(Distribution):
-    """Resampling distribution over observed values.
-
-    Used by the monitor-driven predictor when only a window of measured
-    service times is available: moments are the sample moments and
-    sampling is bootstrap resampling.
-    """
-
-    def __init__(self, values: Sequence[float]) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ConfigurationError("Empirical needs a non-empty 1-D sequence")
-        if np.any(arr < 0):
-            raise ConfigurationError("Empirical values must be non-negative")
-        self._values = arr
-        self._mean = float(arr.mean())
-        self._var = float(arr.var())
-
-    @property
-    def values(self) -> np.ndarray:
-        """The observations backing this distribution (read-only view)."""
-        view = self._values.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def var(self) -> float:
-        return self._var
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        n = 1 if size is None else int(size)
-        out = rng.choice(self._values, size=n, replace=True)
-        return float(out[0]) if size is None else out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Empirical(n={self._values.size}, mean={self._mean:.6g}, "
-            f"var={self._var:.6g})"
-        )

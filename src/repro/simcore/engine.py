@@ -1,15 +1,10 @@
 """The discrete-event simulation engine.
 
 A thin, deterministic driver over :class:`repro.simcore.events.EventQueue`:
-it owns the virtual clock, fires events in time order, and offers the two
-scheduling idioms the rest of the package uses —
-
-``schedule(delay, fn)``
-    fire ``fn`` after ``delay`` simulated seconds;
-
-``every(period, fn)``
-    fire ``fn`` every ``period`` seconds (used by the online monitor's
-    1-second/60-second cadences and by the scheduling-interval loop).
+it owns the virtual clock, fires events in time order, and schedules
+callbacks after a delay (``schedule(delay, fn)``) or at an absolute
+time (``schedule_at(time, fn)``).  The batch-job generator's arrivals
+and departures are its events.
 
 The engine never advances past events it has not fired, so callbacks can
 schedule further events freely, including at the current instant.
@@ -42,7 +37,6 @@ class SimulationEngine:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
-        self._events_fired = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -52,11 +46,6 @@ class SimulationEngine:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Total number of events dispatched so far."""
-        return self._events_fired
 
     @property
     def pending(self) -> int:
@@ -84,40 +73,6 @@ class SimulationEngine:
             )
         return self._queue.push(Event(time=float(time), callback=callback, label=label))
 
-    def every(
-        self,
-        period: float,
-        callback: Callable[[], Any],
-        *,
-        start: Optional[float] = None,
-        label: str = "",
-    ) -> Callable[[], None]:
-        """Fire ``callback`` every ``period`` seconds until cancelled.
-
-        The first firing happens at ``start`` (default: ``now + period``).
-        Returns a zero-argument function that stops the recurrence.
-        """
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        state = {"stopped": False, "event": None}
-
-        def fire() -> None:
-            if state["stopped"]:
-                return
-            callback()
-            if not state["stopped"]:
-                state["event"] = self.schedule(period, fire, label=label)
-
-        first = self._now + period if start is None else start
-        state["event"] = self.schedule_at(first, fire, label=label)
-
-        def stop() -> None:
-            state["stopped"] = True
-            if state["event"] is not None:
-                state["event"].cancel()
-
-        return stop
-
     # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------
@@ -129,7 +84,6 @@ class SimulationEngine:
         if event.time < self._now:  # pragma: no cover - guarded by schedule_at
             raise SimulationError("event queue yielded an event in the past")
         self._now = event.time
-        self._events_fired += 1
         event.callback()
         return True
 
@@ -180,10 +134,8 @@ class SimulationEngine:
         """Drop all pending events and rewind the clock."""
         self._queue.clear()
         self._now = float(start_time)
-        self._events_fired = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SimulationEngine(now={self._now:.3f}, pending={self.pending}, "
-            f"fired={self._events_fired})"
+            f"SimulationEngine(now={self._now:.3f}, pending={self.pending})"
         )

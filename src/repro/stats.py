@@ -1,18 +1,12 @@
 """Self-contained standard-normal CDF/quantile helpers.
 
-Both the workload-trace calibration (:mod:`repro.workloads.traces`
-pins the Google-trace duration sigma from a normal quantile) and the
-BCa bootstrap (:mod:`repro.sim.aggregate`) need Φ and Φ⁻¹.  SciPy's
-``norm`` would do, but the CI tier-1 environment installs only
+The BCa bootstrap (:mod:`repro.sim.aggregate`) needs Φ and Φ⁻¹.
+SciPy's ``norm`` would do, but the CI tier-1 environment installs only
 numpy/pytest, and the statistics layer already keeps its Student-t
 quantile dependency-free so results are identical everywhere.  This
 module is the normal-distribution sibling of that idiom: the CDF is
 exact via :func:`math.erf`, and the quantile inverts it by bisection —
 the same scheme as :func:`repro.sim.aggregate.student_t_ppf`.
-
-It lives at the package root (not under ``sim`` or ``workloads``)
-because both layers import it and ``workloads`` must not depend on
-``sim``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ NumPy arrays and return the same shape.
 Conventions
 -----------
 time
-    seconds (``float``); helpers: :func:`ms`, :func:`us`, :func:`minutes`.
+    seconds (``float``); helpers: :func:`ms`, :func:`us`, :func:`hours`.
 data
     megabytes (``float``); helpers: :func:`kb`, :func:`mb`, :func:`gb`.
 rates
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 MS_PER_S = 1_000.0
 US_PER_S = 1_000_000.0
-S_PER_MINUTE = 60.0
 S_PER_HOUR = 3_600.0
 
 MB_PER_KB = 1.0 / 1024.0
@@ -35,11 +34,6 @@ def ms(value):
 def us(value):
     """Convert microseconds to seconds."""
     return value / US_PER_S
-
-
-def minutes(value):
-    """Convert minutes to seconds."""
-    return value * S_PER_MINUTE
 
 
 def hours(value):

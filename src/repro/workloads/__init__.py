@@ -11,9 +11,9 @@ cause the time-varying interference PCS reacts to (§II-B):
 - :mod:`repro.workloads.batch` — job specs and live job objects.
 - :mod:`repro.workloads.generator` — Poisson churn of short jobs over
   the cluster's batch VMs.
-- :mod:`repro.workloads.traces` — synthetic cluster traces matching the
-  Google/Facebook statistics quoted in §I (≥90 % small jobs, ~50 %
-  complete within 10 minutes, ~94 % within 3 hours) and replay.
+- :mod:`repro.workloads.traces` — request arrival-rate profiles
+  (stationary, diurnal, burst, flash crowd) that scale the service's
+  base rate interval by interval.
 """
 
 from repro.workloads.batch import BatchJob, BatchJobSpec
@@ -28,7 +28,6 @@ from repro.workloads.profiles import (
     WorkloadProfile,
     get_profile,
 )
-from repro.workloads.traces import JobRecord, SyntheticTraceConfig, TraceStats, generate_trace, trace_stats
 
 __all__ = [
     "Framework",
@@ -43,9 +42,4 @@ __all__ = [
     "BatchJob",
     "BatchJobGenerator",
     "GeneratorConfig",
-    "JobRecord",
-    "SyntheticTraceConfig",
-    "TraceStats",
-    "generate_trace",
-    "trace_stats",
 ]

@@ -5,23 +5,14 @@ at each node as a Poisson process, occupy a batch VM for their sampled
 duration, and leave.  Between two scheduling intervals the mix of jobs
 on every node — and therefore every component's contention vector —
 changes, exactly the "continuously changing performance interference"
-of §I.
-
-Two driving modes:
-
-``start(engine, cluster)``
-    event-driven churn on a :class:`~repro.simcore.engine.SimulationEngine`;
-
-``sample_stationary_jobs(node, rng)``
-    an M/G/∞ stationary snapshot (number of concurrent jobs is Poisson
-    with mean ``arrival rate × mean duration``) used by snapshot-style
-    experiments such as the Fig. 5 profiling runs.
+of §I.  ``start(engine, cluster)`` begins the churn on a
+:class:`~repro.simcore.engine.SimulationEngine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -32,8 +23,7 @@ from repro.errors import CapacityError, WorkloadError
 from repro.simcore.engine import SimulationEngine
 from repro.units import gb, mb
 from repro.workloads.batch import BatchJob, BatchJobSpec
-from repro.workloads.profiles import ALL_PROFILES, get_profile
-from repro.workloads.traces import JobRecord
+from repro.workloads.profiles import ALL_PROFILES
 
 __all__ = ["GeneratorConfig", "BatchJobGenerator"]
 
@@ -90,18 +80,6 @@ class GeneratorConfig:
         if total <= 0:
             raise WorkloadError("mix weights must sum to a positive value")
         return w / total
-
-    def mean_duration_s(self) -> float:
-        """Mix-weighted mean job duration at the geometric-mean size."""
-        names = self.profile_names()
-        weights = self.profile_weights()
-        size = float(np.sqrt(self.size_range_mb[0] * self.size_range_mb[1]))
-        return float(
-            sum(
-                w * get_profile(n).mean_duration(size)
-                for n, w in zip(names, weights)
-            )
-        )
 
 
 class BatchJobGenerator:
@@ -188,86 +166,3 @@ class BatchJobGenerator:
         cluster.remove(job)
         self.active_jobs[node.name].remove(job)
         self.completed += 1
-
-    # ------------------------------------------------------------------
-    # stationary snapshots and trace replay
-    # ------------------------------------------------------------------
-    def sample_stationary_jobs(self, at_time: float = 0.0) -> List[BatchJob]:
-        """Sample one node's stationary concurrent-job set (M/G/∞).
-
-        The number of concurrently running jobs on a node whose jobs
-        arrive Poisson(λ) and run for i.i.d. durations with mean D is
-        Poisson(λ·D); we truncate at the batch-VM budget.
-        """
-        mean_inflight = (
-            self.config.jobs_per_node_per_s * self.config.mean_duration_s()
-        )
-        n = int(
-            min(
-                self._rng.poisson(mean_inflight),
-                self.config.max_batch_jobs_per_node,
-            )
-        )
-        jobs = []
-        for _ in range(n):
-            job = self.sample_job(arrival_time=at_time)
-            # Stationarity: the job is mid-flight, so shift its arrival
-            # back by a uniform fraction of its duration.
-            job.arrival_time = at_time - float(self._rng.uniform(0, job.duration))
-            jobs.append(job)
-        return jobs
-
-    def replay(
-        self,
-        engine: SimulationEngine,
-        cluster: Cluster,
-        records: Sequence[JobRecord],
-        node_assignment: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Replay a trace: each record becomes one job on an assigned node.
-
-        ``node_assignment[i]`` gives the node index for record ``i``
-        (default: uniform random).
-        """
-        nodes = cluster.nodes
-        for node in nodes:
-            self.active_jobs.setdefault(node.name, [])
-        for i, record in enumerate(records):
-            if node_assignment is not None:
-                node = nodes[node_assignment[i] % len(nodes)]
-            else:
-                node = nodes[int(self._rng.integers(len(nodes)))]
-            job = BatchJob(
-                spec=BatchJobSpec.of(record.profile_name, record.input_mb),
-                arrival_time=record.arrival_time,
-                duration=record.duration,
-            )
-            engine.schedule_at(
-                record.arrival_time,
-                lambda n=node, j=job: self._admit_replayed(engine, cluster, n, j),
-                label="trace-arrival",
-            )
-
-    def _admit_replayed(
-        self,
-        engine: SimulationEngine,
-        cluster: Cluster,
-        node: Node,
-        job: BatchJob,
-    ) -> None:
-        self.arrived += 1
-        jobs_here = self.active_jobs[node.name]
-        if len(jobs_here) >= self.config.max_batch_jobs_per_node:
-            self.dropped += 1
-            return
-        try:
-            cluster.place(job, node, MachineKind.BATCH)
-        except CapacityError:
-            self.dropped += 1
-            return
-        jobs_here.append(job)
-        engine.schedule(
-            job.duration,
-            lambda: self._on_departure(cluster, node, job),
-            label=f"trace-departure@{node.name}",
-        )

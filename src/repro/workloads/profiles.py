@@ -18,15 +18,12 @@ curves keep the same functional form with parameters chosen to realise
 the taxonomy above.
 
 Durations are calibrated to the paper's claim that these batch jobs run
-"from a few seconds to several minutes" (§VI-A) and, over a whole
-trace, to the Google statistics quoted in §I (see
-:mod:`repro.workloads.traces`).
+"from a few seconds to several minutes" (§VI-A).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 

@@ -28,7 +28,9 @@ def cluster():
 
 class TestConstruction:
     def test_homogeneous_names_and_order(self, cluster):
-        assert cluster.node_names == ["node-0", "node-1", "node-2", "node-3"]
+        assert [n.name for n in cluster.nodes] == [
+            "node-0", "node-1", "node-2", "node-3"
+        ]
         assert len(cluster) == 4
 
     def test_duplicate_names_rejected(self):
@@ -62,7 +64,7 @@ class TestPlacement:
         r = FakeResident("c0", core=0.1)
         cluster.place(r, "node-1")
         assert cluster.node_of(r).name == "node-1"
-        assert cluster.node("node-1").hosts(r)
+        assert r in cluster.node("node-1").residents()
 
     def test_double_place_rejected(self, cluster):
         r = FakeResident("c0")
@@ -76,7 +78,7 @@ class TestPlacement:
         cluster.remove(r)
         with pytest.raises(PlacementError):
             cluster.node_of(r)
-        assert not cluster.node("node-0").hosts(r)
+        assert r not in cluster.node("node-0").residents()
 
     def test_remove_unplaced_rejected(self, cluster):
         with pytest.raises(PlacementError):
@@ -86,8 +88,8 @@ class TestPlacement:
         a, b = FakeResident("a"), FakeResident("b")
         cluster.place(a, "node-0")
         cluster.place(b, "node-0")
-        assert set(r.name for r in cluster.residents_on("node-0")) == {"a", "b"}
-        assert cluster.residents_on("node-1") == []
+        assert {r.name for r in cluster.node("node-0").residents()} == {"a", "b"}
+        assert list(cluster.node("node-1").residents()) == []
 
 
 class TestMigration:
@@ -138,7 +140,7 @@ class TestMigration:
             cluster.migrate(r, "n1")
         # Rolled back: still on n0.
         assert cluster.node_of(r).name == "n0"
-        assert cluster.node("n0").hosts(r)
+        assert r in cluster.node("n0").residents()
 
     def test_placement_indices_is_allocation_array(self, cluster):
         rs = [FakeResident(f"c{i}") for i in range(4)]

@@ -115,7 +115,6 @@ class TestNodeMachines:
         node = Node("n0")
         r = FakeResident("c")
         node.host(r, MachineKind.SERVICE)
-        assert node.hosts(r)
         assert list(node.residents()) == [r]
 
 

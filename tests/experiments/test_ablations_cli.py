@@ -139,13 +139,25 @@ class TestCLI:
             ["sweep", "--rates", ","],
             ["sweep", "--seeds", ","],
             ["fig6", "--seeds", ","],
+            ["sweep", "--nodes", "0"],
+            ["sweep", "--intervals", "0"],
+            ["sweep", "--search-groups", "0"],
+            ["sweep", "--replicas-per-group", "0"],
+            ["sweep", "--interval-s", "0"],
+            ["sweep", "--rates", "0"],
+            ["quick", "--rate", "0"],
         ],
         ids=[
             "sweep-rates", "sweep-seeds", "fig6-seeds",
             "sweep-empty-rates", "sweep-empty-seeds", "fig6-empty-seeds",
+            "sweep-zero-nodes", "sweep-zero-intervals",
+            "sweep-zero-search-groups", "sweep-zero-replicas-per-group",
+            "sweep-zero-interval-s", "sweep-zero-rate", "quick-zero-rate",
         ],
     )
-    def test_malformed_number_list_is_a_usage_error(self, argv, capsys):
+    def test_malformed_or_non_positive_number_is_a_usage_error(
+        self, argv, capsys
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -106,7 +106,7 @@ class TestOraclePredictor:
         mean = oracle.predict_mean_service(
             ComponentClass.SEARCHING, u.as_array()[None, :]
         )[0]
-        assert mean == pytest.approx(interference.mean_service_time(comp, u))
+        assert mean == pytest.approx(interference.service_distribution(comp, u).mean)
 
     def test_scv_is_base_scv(self):
         oracle = OraclePredictor(

@@ -13,7 +13,6 @@ from repro.model.queueing import (
     mg1_latency_array,
     mg1_latency_unchecked,
     mg1_waiting_time,
-    mm1_latency,
     quickest_of_k_latency,
     reissue_latency,
     utilisation,
@@ -27,8 +26,7 @@ class TestClosedForms:
         # Paper: "when ... C^2_x = 1, the M/G/1 queueing system equals
         # the M/M/1 queueing system and the expected latency l = 1/(mu-lambda)".
         x, lam = 0.008, 50.0
-        assert mg1_latency(x, 1.0, lam) == pytest.approx(mm1_latency(x, lam))
-        assert mm1_latency(x, lam) == pytest.approx(1.0 / (1.0 / x - lam))
+        assert mg1_latency(x, 1.0, lam) == pytest.approx(1.0 / (1.0 / x - lam))
 
     def test_md1_half_the_mm1_wait(self):
         # Deterministic service: wait is half the exponential case.
@@ -59,7 +57,7 @@ class TestClosedForms:
         with pytest.raises(UnstableQueueError):
             mg1_latency(0.01, 1.0, 100.0)  # rho = 1
         with pytest.raises(UnstableQueueError):
-            mm1_latency(0.01, 120.0)
+            mg1_latency(0.01, 1.0, 120.0)  # rho > 1
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(UnstableQueueError):

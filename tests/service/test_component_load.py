@@ -23,24 +23,23 @@ class TestLoadScaling:
     def test_reference_load_keeps_base_demand(self):
         c = _comp()
         assert c.demand == c.base_demand
-        assert c.demand_scale == pytest.approx(1.0)
 
     def test_double_load_scales_demand_up(self):
         c = _comp()
         c.set_load(2 * c.reference_rps)
         # scale = idle + (1-idle)*2 = 0.4 + 1.2 = 1.6
-        assert c.demand_scale == pytest.approx(1.6)
+        assert c.demand.isclose(c.base_demand * 1.6)
         assert c.demand.core == pytest.approx(0.04 * 1.6)
 
     def test_idle_floor(self):
         c = _comp()
         c.set_load(0.0)
-        assert c.demand_scale == pytest.approx(c.idle_fraction)
+        assert c.demand.isclose(c.base_demand * c.idle_fraction)
 
     def test_cap_at_max_scale(self):
         c = _comp()
         c.set_load(1000 * c.reference_rps)
-        assert c.demand_scale == pytest.approx(c.max_demand_scale)
+        assert c.demand.isclose(c.base_demand * c.max_demand_scale)
 
     def test_redundancy_load_feedback(self):
         """k executed copies -> ~k x demand (the RED cost mechanism)."""
@@ -67,4 +66,3 @@ class TestLoadScaling:
         )
         c.set_load(50.0)
         assert c.demand == ResourceVector.zero()
-        assert c.demand_scale == 1.0

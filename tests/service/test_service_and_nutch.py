@@ -22,8 +22,9 @@ class TestNutchTopology:
         assert names == ["segmenting", "searching", "aggregating"]
 
     def test_default_100_searching_components(self, service):
-        searching = service.components_of_class(ComponentClass.SEARCHING)
+        searching = service.topology.stage("searching").components
         assert len(searching) == 100  # paper §VI-C: "100 VMs"
+        assert all(c.cls is ComponentClass.SEARCHING for c in searching)
 
     def test_search_stage_shape(self, service):
         stage = service.topology.stage("searching")
@@ -37,7 +38,7 @@ class TestNutchTopology:
         svc = build_nutch_service(
             NutchConfig(n_search_groups=3, replicas_per_group=2)
         )
-        assert len(svc.components_of_class(ComponentClass.SEARCHING)) == 6
+        assert len(svc.topology.stage("searching").components) == 6
 
     def test_base_means_match_config(self, service):
         cfg = NutchConfig()
@@ -90,7 +91,7 @@ class TestDeployment:
     def test_round_robin_balanced(self, service):
         cluster = self._cluster()
         service.deploy(cluster, "round_robin")
-        counts = [len(cluster.residents_on(n)) for n in cluster]
+        counts = [len(list(n.residents())) for n in cluster]
         assert max(counts) - min(counts) <= 1
 
     def test_random_deploy_needs_rng(self, service):
@@ -100,12 +101,12 @@ class TestDeployment:
     def test_random_deploy(self, service):
         cluster = self._cluster()
         service.deploy(cluster, "random", rng=np.random.default_rng(0))
-        assert sum(len(cluster.residents_on(n)) for n in cluster) == 108
+        assert sum(len(list(n.residents())) for n in cluster) == 108
 
     def test_least_loaded_deploy(self, service):
         cluster = self._cluster()
         service.deploy(cluster, "least_loaded")
-        assert sum(len(cluster.residents_on(n)) for n in cluster) == 108
+        assert sum(len(list(n.residents())) for n in cluster) == 108
 
     def test_unknown_strategy_rejected(self, service):
         with pytest.raises(TopologyError):

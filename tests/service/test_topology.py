@@ -99,7 +99,7 @@ class TestCoordinates:
         assert topo.n_stages == 3
         assert topo.n_components == 7
         assert topo.stage("mid").n_groups == 2
-        assert topo.stage("mid").max_replicas == 2
+        assert [g.n_replicas for g in topo.stage("mid").groups] == [2, 2]
 
     def test_lookup_errors(self):
         topo = _simple_topology()

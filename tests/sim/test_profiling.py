@@ -144,7 +144,7 @@ class TestTrainPredictorForService:
         truths, preds = [], []
         for condition in mixed_conditions(30, probe_rng):
             u = ResourceVector.sum(spec.demand for spec in condition)
-            truths.append(interference.mean_service_time(rep, u))
+            truths.append(interference.service_distribution(rep, u).mean)
             preds.append(
                 predictor.predict_mean_service(rep.cls, u.as_array()[None, :])[0]
             )

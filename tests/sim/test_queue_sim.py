@@ -37,11 +37,8 @@ def _topology(n_groups=4, replicas=3, mean=ms(6), scv=1.0):
     return ServiceTopology([stage])
 
 
-def _dists(topology, mean=None):
-    return {
-        c.name: (c.base_service if mean is None else c.base_service.with_mean(mean))
-        for c in topology.components
-    }
+def _dists(topology):
+    return {c.name: c.base_service for c in topology.components}
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ Monte-Carlo estimates, and the scaling algebra (used by the interference
 model) is property-tested.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +13,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.simcore.distributions import (
     Deterministic,
-    Empirical,
     Exponential,
-    HyperExponential,
     LogNormal,
     Pareto,
-    ShiftedExponential,
-    Uniform,
-    Weibull,
 )
 
 N_SAMPLES = 200_000
@@ -45,12 +38,8 @@ def rng():
 ALL_DISTS = [
     Deterministic(0.01),
     Exponential(0.02),
-    ShiftedExponential(0.005, 0.01),
-    HyperExponential(probs=(0.9, 0.1), means=(0.01, 0.1)),
     LogNormal(0.02, 0.5),
     Pareto(0.01, 3.0),
-    Uniform(0.0, 0.04),
-    Weibull(0.02, 2.0),
 ]
 
 
@@ -82,22 +71,10 @@ class TestSpecificShapes:
     def test_exponential_rate(self):
         assert Exponential(0.02).rate == pytest.approx(50.0)
 
-    def test_hyperexponential_scv_above_one(self):
-        h = HyperExponential(probs=(0.9, 0.1), means=(0.01, 0.1))
-        assert h.scv > 1.0
-
-    def test_weibull_shape_above_one_scv_below_one(self):
-        assert Weibull(1.0, 2.0).scv < 1.0
-
     def test_lognormal_moments_exact_by_construction(self):
         d = LogNormal(0.05, 0.7)
         assert d.mean == pytest.approx(0.05)
         assert d.scv == pytest.approx(0.7)
-
-    def test_shifted_exponential_floor(self, rng):
-        d = ShiftedExponential(0.01, 0.005)
-        xs = d.sample(rng, 1000)
-        assert np.all(xs >= 0.01)
 
     def test_pareto_minimum(self, rng):
         d = Pareto(0.02, 3.5)
@@ -114,51 +91,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Exponential(0.0)
 
-    def test_hyperexponential_bad_probs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HyperExponential(probs=(0.5, 0.6), means=(1.0, 2.0))
-
-    def test_hyperexponential_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HyperExponential(probs=(1.0,), means=(1.0, 2.0))
-
     def test_pareto_infinite_variance_rejected(self):
         with pytest.raises(ConfigurationError):
             Pareto(1.0, 2.0)
-
-    def test_uniform_inverted_bounds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Uniform(2.0, 1.0)
-
-    def test_weibull_nonpositive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Weibull(0.0, 1.0)
-
-    def test_empirical_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Empirical([])
-
-    def test_empirical_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Empirical([0.1, -0.2])
-
-
-class TestEmpirical:
-    def test_moments_are_sample_moments(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        d = Empirical(values)
-        assert d.mean == pytest.approx(2.5)
-        assert d.var == pytest.approx(np.var(values))
-
-    def test_samples_drawn_from_support(self, rng):
-        d = Empirical([0.1, 0.2, 0.3])
-        xs = d.sample(rng, 500)
-        assert set(np.unique(xs)) <= {0.1, 0.2, 0.3}
-
-    def test_values_view_is_readonly(self):
-        d = Empirical([1.0, 2.0])
-        with pytest.raises(ValueError):
-            d.values[0] = 9.0
 
 
 class TestScaling:
@@ -182,8 +117,9 @@ class TestScaling:
         assert d.factor == pytest.approx(6.0)
         assert isinstance(d.base, Exponential)
 
-    def test_with_mean_hits_target(self):
-        d = LogNormal(0.02, 0.5).with_mean(0.08)
+    def test_scaling_to_a_target_mean_keeps_scv(self):
+        base = LogNormal(0.02, 0.5)
+        d = base.scaled(0.08 / base.mean)
         assert d.mean == pytest.approx(0.08)
         assert d.scv == pytest.approx(0.5)
 
@@ -194,7 +130,3 @@ class TestScaling:
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             Exponential(1.0).scaled(0.0)
-
-    def test_with_mean_nonpositive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Exponential(1.0).with_mean(-1.0)

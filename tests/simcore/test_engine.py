@@ -94,52 +94,7 @@ class TestRun:
         eng = SimulationEngine()
         for _ in range(3):
             eng.schedule(1.0, lambda: None)
-        eng.run()
-        assert eng.events_fired == 3
-
-
-class TestEvery:
-    def test_periodic_callback_cadence(self):
-        eng = SimulationEngine()
-        times = []
-        eng.every(2.0, lambda: times.append(eng.now))
-        eng.run_until(9.0)
-        assert times == [2.0, 4.0, 6.0, 8.0]
-
-    def test_periodic_with_explicit_start(self):
-        eng = SimulationEngine()
-        times = []
-        eng.every(2.0, lambda: times.append(eng.now), start=1.0)
-        eng.run_until(6.0)
-        assert times == [1.0, 3.0, 5.0]
-
-    def test_stop_cancels_recurrence(self):
-        eng = SimulationEngine()
-        times = []
-        stop = eng.every(1.0, lambda: times.append(eng.now))
-        eng.run_until(3.0)
-        stop()
-        eng.run_until(10.0)
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_stop_from_within_callback(self):
-        eng = SimulationEngine()
-        times = []
-        holder = {}
-
-        def cb():
-            times.append(eng.now)
-            if len(times) == 2:
-                holder["stop"]()
-
-        holder["stop"] = eng.every(1.0, cb)
-        eng.run_until(10.0)
-        assert times == [1.0, 2.0]
-
-    def test_nonpositive_period_rejected(self):
-        eng = SimulationEngine()
-        with pytest.raises(SimulationError):
-            eng.every(0.0, lambda: None)
+        assert eng.run() == 3
 
 
 class TestReset:
@@ -151,4 +106,4 @@ class TestReset:
         eng.reset()
         assert eng.now == 0.0
         assert eng.pending == 0
-        assert eng.events_fired == 0
+        assert eng.run() == 0

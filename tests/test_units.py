@@ -14,8 +14,7 @@ def test_us_to_seconds():
     assert units.us(17.0) == pytest.approx(17e-6)
 
 
-def test_minutes_and_hours():
-    assert units.minutes(2) == 120.0
+def test_hours_to_seconds():
     assert units.hours(1) == 3600.0
 
 

@@ -1,19 +1,11 @@
-"""Tests for batch jobs and synthetic traces."""
+"""Tests for batch jobs and arrival-rate trace profiles."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.units import gb, mb, minutes
+from repro.units import gb, mb
 from repro.workloads.batch import BatchJob, BatchJobSpec
-from repro.workloads.traces import (
-    GOOGLE_DURATION_SIGMA,
-    GOOGLE_MEDIAN_DURATION_S,
-    JobRecord,
-    SyntheticTraceConfig,
-    generate_trace,
-    trace_stats,
-)
 
 
 class TestBatchJobSpec:
@@ -59,91 +51,6 @@ class TestBatchJob:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(WorkloadError):
             self._job(duration=0.0)
-
-
-class TestJobRecord:
-    def test_is_small_threshold_1gb(self):
-        small = JobRecord("spark.sort", gb(1) - 1, 0.0, 10.0)
-        large = JobRecord("spark.sort", gb(1), 0.0, 10.0)
-        assert small.is_small and not large.is_small
-
-    def test_invalid_record_rejected(self):
-        with pytest.raises(WorkloadError):
-            JobRecord("spark.sort", mb(1), -1.0, 10.0)
-
-
-class TestTraceCalibration:
-    """The trace must reproduce the Google marginals quoted in §I."""
-
-    @pytest.fixture(scope="class")
-    def trace(self):
-        cfg = SyntheticTraceConfig(horizon_s=20_000.0, jobs_per_s=0.5)
-        return generate_trace(cfg, np.random.default_rng(42))
-
-    def test_sigma_calibration_closed_form(self):
-        # P(duration <= 3h) = 0.94 pins sigma.
-        from repro.stats import norm_cdf
-
-        z = np.log(minutes(180) / GOOGLE_MEDIAN_DURATION_S) / GOOGLE_DURATION_SIGMA
-        assert norm_cdf(z) == pytest.approx(0.94, abs=1e-9)
-
-    def test_sigma_pinned_to_six_decimals(self):
-        # Regression pin: the self-contained Φ⁻¹ must keep reproducing
-        # the SciPy-era constant sigma = ln(18) / z_{0.94}.
-        assert round(GOOGLE_DURATION_SIGMA, 6) == 1.859031
-
-    def test_half_complete_within_10min(self, trace):
-        stats = trace_stats(trace)
-        assert stats.frac_le_10min == pytest.approx(0.50, abs=0.03)
-
-    def test_94pct_within_3h(self, trace):
-        stats = trace_stats(trace)
-        assert stats.frac_le_3h == pytest.approx(0.94, abs=0.02)
-
-    def test_over_90pct_small_jobs(self, trace):
-        stats = trace_stats(trace)
-        assert stats.frac_small == pytest.approx(0.90, abs=0.02)
-
-    def test_arrivals_sorted_within_horizon(self, trace):
-        times = [r.arrival_time for r in trace]
-        assert times == sorted(times)
-        assert all(0 <= t <= 20_000.0 for t in times)
-
-    def test_poisson_count(self, trace):
-        # ~10k expected arrivals; 5 sigma tolerance.
-        assert len(trace) == pytest.approx(10_000, abs=500)
-
-    def test_render_mentions_marginals(self, trace):
-        out = trace_stats(trace).render()
-        assert "small" in out and "<=10min" in out
-
-    def test_profile_duration_mode(self):
-        cfg = SyntheticTraceConfig(
-            horizon_s=2_000.0, jobs_per_s=0.1, duration_mode="profile"
-        )
-        trace = generate_trace(cfg, np.random.default_rng(0))
-        stats = trace_stats(trace)
-        # Profile jobs are seconds-to-minutes, far below the Google median.
-        assert stats.mean_duration_s < GOOGLE_MEDIAN_DURATION_S
-
-    def test_mix_restricts_profiles(self):
-        cfg = SyntheticTraceConfig(
-            horizon_s=2_000.0, jobs_per_s=0.1, mix={"spark.sort": 1.0}
-        )
-        trace = generate_trace(cfg, np.random.default_rng(0))
-        assert {r.profile_name for r in trace} == {"spark.sort"}
-
-    def test_empty_trace_stats_rejected(self):
-        with pytest.raises(WorkloadError):
-            trace_stats([])
-
-    def test_unknown_mix_profile_rejected(self):
-        with pytest.raises(WorkloadError):
-            SyntheticTraceConfig(mix={"nope": 1.0})
-
-    def test_invalid_duration_mode_rejected(self):
-        with pytest.raises(WorkloadError):
-            SyntheticTraceConfig(duration_mode="uniform")
 
 
 class TestArrivalProfiles:

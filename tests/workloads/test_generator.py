@@ -8,7 +8,6 @@ from repro.errors import WorkloadError
 from repro.simcore.engine import SimulationEngine
 from repro.units import gb, mb
 from repro.workloads.generator import BatchJobGenerator, GeneratorConfig
-from repro.workloads.traces import SyntheticTraceConfig, generate_trace
 
 
 @pytest.fixture
@@ -36,9 +35,6 @@ class TestGeneratorConfig:
     def test_zero_rate_rejected(self):
         with pytest.raises(WorkloadError):
             GeneratorConfig(jobs_per_node_per_s=0.0)
-
-    def test_mean_duration_positive(self):
-        assert GeneratorConfig().mean_duration_s() > 0
 
 
 class TestChurn:
@@ -72,7 +68,7 @@ class TestChurn:
         gen.start(engine, cluster)
         engine.run_until(120.0)
         total = sum(
-            cluster.contention_on(node, None).core for node in cluster
+            node.contention_for(None).core for node in cluster
         )
         assert total > 0.0
 
@@ -101,58 +97,3 @@ class TestChurn:
 
         assert run(11) == run(11)
         assert run(11) != run(12)
-
-
-class TestStationarySnapshot:
-    def test_snapshot_respects_cap(self, rng):
-        cfg = GeneratorConfig(jobs_per_node_per_s=5.0, max_batch_jobs_per_node=3)
-        gen = BatchJobGenerator(cfg, rng)
-        for _ in range(50):
-            assert len(gen.sample_stationary_jobs()) <= 3
-
-    def test_snapshot_jobs_active_now(self, rng):
-        gen = BatchJobGenerator(GeneratorConfig(jobs_per_node_per_s=2.0), rng)
-        for job in gen.sample_stationary_jobs(at_time=100.0):
-            assert job.active_at(100.0)
-
-    def test_snapshot_mean_matches_mg_infinity(self, rng):
-        cfg = GeneratorConfig(
-            jobs_per_node_per_s=0.01, max_batch_jobs_per_node=100
-        )
-        gen = BatchJobGenerator(cfg, rng)
-        counts = [len(gen.sample_stationary_jobs()) for _ in range(3000)]
-        expected = cfg.jobs_per_node_per_s * cfg.mean_duration_s()
-        assert np.mean(counts) == pytest.approx(expected, rel=0.25)
-
-
-class TestReplay:
-    def test_replay_runs_trace_jobs(self, rng, cluster):
-        engine = SimulationEngine()
-        trace = generate_trace(
-            SyntheticTraceConfig(
-                horizon_s=500.0, jobs_per_s=0.05, duration_mode="profile"
-            ),
-            rng,
-        )
-        gen = BatchJobGenerator(GeneratorConfig(), rng)
-        gen.replay(engine, cluster, trace)
-        engine.run()
-        assert gen.arrived == len(trace)
-        assert gen.completed + gen.dropped == len(trace)
-
-    def test_replay_with_explicit_assignment(self, rng, cluster):
-        engine = SimulationEngine()
-        trace = generate_trace(
-            SyntheticTraceConfig(
-                horizon_s=100.0, jobs_per_s=0.1, duration_mode="profile"
-            ),
-            rng,
-        )
-        gen = BatchJobGenerator(GeneratorConfig(max_batch_jobs_per_node=100), rng)
-        gen.replay(engine, cluster, trace, node_assignment=[0] * len(trace))
-        engine.run_until(50.0)
-        assert all(
-            len(jobs) == 0
-            for name, jobs in gen.active_jobs.items()
-            if name != "node-0"
-        )
