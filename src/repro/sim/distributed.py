@@ -283,6 +283,23 @@ def _claim_is_stale(claim: dict, now: float, lease_s: float) -> bool:
     return dead or _heartbeat_expired(claim, now, lease_s)
 
 
+def _claim_of(path: Path, payload: dict) -> dict:
+    """A claim file's claim block.
+
+    Between the claiming rename and the write of the block, the file
+    has none; its mtime, which :meth:`SweepSpool.claim` stamps just
+    before the rename, stands in as the heartbeat, so a live claimer is
+    not reclaimed inside that window.
+    """
+    claim = payload.get("claim")
+    if claim:
+        return claim
+    try:
+        return {"heartbeat": path.stat().st_mtime}
+    except FileNotFoundError:  # released or re-dispatched meanwhile
+        return {"heartbeat": time.time()}
+
+
 def _worker_is_alive(info: dict, now: float, lease_s: float) -> bool:
     """Same-host workers are checked by pid (exact); remote ones by
     heartbeat freshness against the lease."""
@@ -415,7 +432,7 @@ class SweepSpool:
         reclaimed = 0
         now = time.time()
         for path, payload in self._scan(self.claims_dir, f"{run_id}-*.json"):
-            if not _claim_is_stale(payload.get("claim") or {}, now, lease_s):
+            if not _claim_is_stale(_claim_of(path, payload), now, lease_s):
                 continue
             job_id = payload.get("job_id") or path.stem
             if (self.results_dir / f"{job_id}.json").exists():
@@ -449,17 +466,20 @@ class SweepSpool:
 
         The claim *is* the rename — after it, no other worker can
         claim the job.  The claim block (pid/host/heartbeat) is written
-        in a second, non-racing step; a crash between the two leaves a
-        claim with no block, which reads as expired and is reclaimed.
+        in a second, non-racing step.  Until it lands, the file's mtime,
+        stamped just before the rename (which keeps it), is the claim's
+        heartbeat: a crash between the two leaves a claim with no block,
+        which is reclaimed once the lease runs out.
         """
         src = self.jobs_dir / f"{job_id}.json"
         dst = self.claims_dir / f"{job_id}.json"
         try:
+            os.utime(src)
             os.rename(src, dst)
         except FileNotFoundError:
             return None
         payload = self._read_json(dst)
-        if payload is None:  # pragma: no cover - reclaimed instantly
+        if payload is None:  # pragma: no cover - gc'd from under us
             return None
         now = time.time()
         payload["claim"] = {
@@ -534,7 +554,7 @@ class SweepSpool:
         removed = [
             path
             for path, payload in self._scan(self.claims_dir)
-            if _claim_is_stale(payload.get("claim") or {}, now, lease_s)
+            if _claim_is_stale(_claim_of(path, payload), now, lease_s)
         ] + [
             path
             for path, info in self._scan(self.workers_dir)

@@ -146,6 +146,17 @@ class TestCLI:
             ["sweep", "--interval-s", "0"],
             ["sweep", "--rates", "0"],
             ["quick", "--rate", "0"],
+            ["sweep", "--nodes", "2.5"],
+            ["sweep", "--intervals", "x"],
+            ["sweep", "--interval-s", "abc"],
+            ["quick", "--rate", "fast"],
+            ["serve", "--rate", "0"],
+            ["serve", "--window-s", "0"],
+            ["serve", "--trace-cycle", "0"],
+            ["serve", "--dilation", "0"],
+            ["serve", "--max-windows", "0"],
+            ["serve", "--profiling-conditions", "0"],
+            ["serve", "--nodes", "0"],
         ],
         ids=[
             "sweep-rates", "sweep-seeds", "fig6-seeds",
@@ -153,6 +164,11 @@ class TestCLI:
             "sweep-zero-nodes", "sweep-zero-intervals",
             "sweep-zero-search-groups", "sweep-zero-replicas-per-group",
             "sweep-zero-interval-s", "sweep-zero-rate", "quick-zero-rate",
+            "sweep-float-nodes", "sweep-text-intervals",
+            "sweep-text-interval-s", "quick-text-rate",
+            "serve-zero-rate", "serve-zero-window-s", "serve-zero-trace-cycle",
+            "serve-zero-dilation", "serve-zero-max-windows",
+            "serve-zero-profiling-conditions", "serve-zero-nodes",
         ],
     )
     def test_malformed_or_non_positive_number_is_a_usage_error(

@@ -45,9 +45,10 @@ class TestMonitorConfig:
         with pytest.raises(MonitoringError):
             MonitorConfig(system_period_s=10.0, micro_period_s=1.0)
 
-    def test_negative_noise_rejected(self):
-        with pytest.raises(MonitoringError):
-            MonitorConfig(core_noise=-0.1)
+    @pytest.mark.parametrize("name", ["core_noise", "bw_noise", "cache_noise"])
+    def test_negative_noise_rejected(self, name):
+        with pytest.raises(MonitoringError, match=name):
+            MonitorConfig(**{name: -0.1})
 
 
 class TestOneShotObservation:
@@ -88,3 +89,106 @@ class TestOneShotObservation:
         monitor = OnlineMonitor(cfg, cluster, np.random.default_rng(0))
         truth = cluster.contention_for(comp)
         assert monitor.observe_window(comp, duration_s=10.0) == truth
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"system_period_s": 0.0},
+            {"system_period_s": -1.0},
+            {"micro_period_s": 0.0},
+        ],
+        ids=["zero-system", "negative-system", "zero-micro"],
+    )
+    def test_non_positive_period_rejected(self, kwargs):
+        with pytest.raises(MonitoringError, match="periods must be positive"):
+            MonitorConfig(**kwargs)
+
+
+class TestWindowNoise:
+    """Each channel's noise shrinks with the samples its cadence takes."""
+
+    @pytest.mark.parametrize(
+        "duration_s, n_sys, n_micro",
+        [(1.0, 1, 1), (30.0, 30, 1), (60.0, 60, 1), (600.0, 600, 10)],
+    )
+    def test_relative_noise_follows_each_cadence(
+        self, setup, duration_s, n_sys, n_micro
+    ):
+        cluster, comp = setup
+        cfg = MonitorConfig()
+        monitor = OnlineMonitor(cfg, cluster, np.random.default_rng(3))
+        truth = cluster.contention_for(comp).as_array()
+        obs = np.array(
+            [
+                monitor.observe_window(comp, duration_s).as_array()
+                for _ in range(4000)
+            ]
+        )
+        rel_std = (obs / truth).std(axis=0)
+        expected = [
+            cfg.core_noise / np.sqrt(n_sys),
+            cfg.cache_noise / np.sqrt(n_micro),
+            cfg.bw_noise / np.sqrt(n_sys),
+            cfg.bw_noise / np.sqrt(n_sys),
+        ]
+        np.testing.assert_allclose(rel_std, expected, rtol=0.1)
+
+    def test_readings_floored_at_zero(self, setup):
+        cluster, comp = setup
+        cfg = MonitorConfig(core_noise=5.0, bw_noise=5.0, cache_noise=5.0)
+        monitor = OnlineMonitor(cfg, cluster, np.random.default_rng(4))
+        obs = np.array(
+            [monitor.observe_window(comp, 1.0).as_array() for _ in range(500)]
+        )
+        assert obs.min() == 0.0  # noise this large must hit the floor
+        assert (obs >= 0.0).all()
+
+    def test_same_seed_same_readings(self, setup):
+        cluster, comp = setup
+        node = cluster.node("node-0")
+
+        def readings(seed):
+            monitor = OnlineMonitor(
+                MonitorConfig(), cluster, np.random.default_rng(seed)
+            )
+            return [
+                monitor.observe_window(comp, 30.0),
+                monitor.observe_node_window(node, 30.0),
+            ]
+
+        assert readings(9) == readings(9)
+        assert readings(9) != readings(10)
+
+
+class TestNodeWindow:
+    def test_zero_noise_is_the_node_total(self, setup):
+        cluster, _ = setup
+        cfg = MonitorConfig(core_noise=0.0, bw_noise=0.0, cache_noise=0.0)
+        monitor = OnlineMonitor(cfg, cluster, np.random.default_rng(0))
+        for node in cluster:
+            assert monitor.observe_node_window(node, 10.0) == node.total_demand()
+
+    def test_idle_node_reads_zero(self, setup):
+        cluster, _ = setup
+        monitor = OnlineMonitor(MonitorConfig(), cluster, np.random.default_rng(0))
+        reading = monitor.observe_node_window(cluster.node("node-1"), 10.0)
+        assert reading == ResourceVector()
+
+    def test_bad_duration_rejected(self, setup):
+        cluster, _ = setup
+        monitor = OnlineMonitor(MonitorConfig(), cluster, np.random.default_rng(0))
+        with pytest.raises(MonitoringError, match="duration"):
+            monitor.observe_node_window(cluster.node("node-0"), -1.0)
+
+    def test_node_reading_near_truth(self, setup):
+        cluster, _ = setup
+        node = cluster.node("node-0")
+        monitor = OnlineMonitor(MonitorConfig(), cluster, np.random.default_rng(5))
+        obs = np.array(
+            [monitor.observe_node_window(node, 60.0).as_array() for _ in range(500)]
+        )
+        np.testing.assert_allclose(
+            obs.mean(axis=0), node.total_demand().as_array(), rtol=0.01
+        )

@@ -271,6 +271,40 @@ class TestSpoolProtocol:
         assert not (spool.claims_dir / "run-000000.json").exists()
         assert spool.read_result("run-000000") is not None
 
+    def test_claim_without_block_is_stale_only_after_the_lease(
+        self, tmp_path, monkeypatch
+    ):
+        # The claimer dies between the claiming rename and the write of
+        # its claim block.  The job had queued for longer than the
+        # lease, yet the claim itself is fresh: reclaim and gc spare it
+        # (a live claimer is in this state for an instant) until the
+        # lease, counted from the claim, runs out.
+        import repro.sim.distributed as distributed
+
+        class Died(Exception):
+            pass
+
+        def die(path, payload, indent=None):
+            raise Died
+
+        spool = SweepSpool(tmp_path).ensure()
+        entry = encode_task(0, (_tiny_base(), BasicPolicy()))
+        spool.submit_job("run-000000", "run", entry)
+        queued = time.time() - 1e3
+        os.utime(spool.jobs_dir / "run-000000.json", (queued, queued))
+        monkeypatch.setattr(distributed, "_atomic_write_json", die)
+        with pytest.raises(Died):
+            spool.claim("run-000000")
+        monkeypatch.undo()
+        claim_path = spool.claims_dir / "run-000000.json"
+        assert "claim" not in json.loads(claim_path.read_text())
+        assert spool.reclaim_stale("run", lease_s=30.0) == 0
+        assert spool.gc(lease_s=30.0) == []
+        expired = time.time() - 60.0
+        os.utime(claim_path, (expired, expired))
+        assert spool.reclaim_stale("run", lease_s=30.0) == 1
+        assert spool.pending_jobs() == ["run-000000"]
+
     def test_dead_local_claim_is_stale_to_reclaim_and_gc(self, tmp_path):
         # One staleness rule serves both callers: a same-host claim
         # whose pid is gone is stale at once, fresh heartbeat or not,

@@ -5,6 +5,8 @@ Monte-Carlo estimates, and the scaling algebra (used by the interference
 model) is property-tested.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,32 @@ def test_scv_definition(dist):
         assert dist.scv == pytest.approx(dist.var / dist.mean**2)
 
 
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_scaled_analytic_moments_match_samples(dist, rng):
+    _check_moments(dist.scaled(2.5), rng)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_scaling_keeps_scv(dist):
+    assert dist.scaled(2.5).scv == pytest.approx(dist.scv)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_same_seed_same_samples(dist):
+    a = dist.sample(np.random.default_rng(7), 100)
+    b = dist.sample(np.random.default_rng(7), 100)
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_equal_parameters_are_equal_hashable_values(dist):
+    # Distributions hold no RNG state, so two with the same parameters
+    # are interchangeable (and usable as dict keys).
+    twin = dataclasses.replace(dist)
+    assert twin == dist and hash(twin) == hash(dist)
+    assert {dist: 1}[twin] == 1
+
+
 class TestSpecificShapes:
     def test_deterministic_has_zero_scv(self):
         assert Deterministic(0.5).scv == 0.0
@@ -81,6 +109,17 @@ class TestSpecificShapes:
         xs = d.sample(rng, 1000)
         assert np.all(xs >= 0.02)
 
+    def test_lognormal_median_below_mean(self, rng):
+        # The median of a log-normal is exp(mu) = mean / sqrt(1 + scv).
+        d = LogNormal(0.05, 0.7)
+        xs = d.sample(rng, N_SAMPLES)
+        assert float(np.median(xs)) == pytest.approx(
+            0.05 / np.sqrt(1.7), rel=0.01
+        )
+
+    def test_pareto_heavier_shape_means_lower_scv(self):
+        assert Pareto(1.0, 5.0).scv < Pareto(1.0, 3.0).scv
+
 
 class TestValidation:
     def test_deterministic_negative_rejected(self):
@@ -94,6 +133,21 @@ class TestValidation:
     def test_pareto_infinite_variance_rejected(self):
         with pytest.raises(ConfigurationError):
             Pareto(1.0, 2.0)
+
+    def test_pareto_nonpositive_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match="xm"):
+            Pareto(0.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "mean, scv", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)]
+    )
+    def test_lognormal_nonpositive_parameters_rejected(self, mean, scv):
+        with pytest.raises(ConfigurationError):
+            LogNormal(mean, scv)
+
+    def test_scv_of_zero_mean_undefined(self):
+        with pytest.raises(ConfigurationError, match="scv undefined"):
+            Deterministic(0.0).scv
 
 
 class TestScaling:
@@ -130,3 +184,7 @@ class TestScaling:
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             Exponential(1.0).scaled(0.0)
+
+    def test_nonpositive_factor_on_scaled_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Exponential(1.0).scaled(2.0).scaled(-1.0)

@@ -107,3 +107,67 @@ class TestReset:
         assert eng.now == 0.0
         assert eng.pending == 0
         assert eng.run() == 0
+
+
+class TestDispatchDetails:
+    def test_step_on_idle_engine_returns_false(self):
+        eng = SimulationEngine()
+        assert eng.step() is False
+        assert eng.now == 0.0
+
+    def test_cancelled_event_neither_fires_nor_counts(self):
+        eng = SimulationEngine()
+        seen = []
+        event = eng.schedule(1.0, lambda: seen.append("cancelled"))
+        eng.schedule(2.0, lambda: seen.append("kept"))
+        event.cancel()
+        assert eng.pending == 1
+        assert eng.run() == 1
+        assert seen == ["kept"]
+
+    def test_schedule_returns_labelled_event(self):
+        eng = SimulationEngine(start_time=1.0)
+        event = eng.schedule(2.5, lambda: None, label="arrival")
+        assert (event.time, event.label) == (3.5, "arrival")
+
+    def test_run_until_on_empty_queue_advances_clock(self):
+        eng = SimulationEngine()
+        assert eng.run_until(7.5) == 0
+        assert eng.now == 7.5
+
+    def test_zero_delay_follow_up_fires_within_run_until(self):
+        eng = SimulationEngine()
+        seen = []
+        eng.schedule(
+            1.0, lambda: eng.schedule(0.0, lambda: seen.append(eng.now))
+        )
+        assert eng.run_until(1.0) == 2
+        assert seen == [1.0]
+
+
+class TestReentrancy:
+    def test_run_from_callback_rejected(self):
+        eng = SimulationEngine()
+        eng.schedule(1.0, eng.run)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            eng.run()
+
+    def test_run_until_from_callback_rejected(self):
+        eng = SimulationEngine()
+        eng.schedule(1.0, lambda: eng.run_until(5.0))
+        with pytest.raises(SimulationError, match="re-entrant"):
+            eng.run_until(2.0)
+
+    def test_engine_usable_after_callback_raises(self):
+        eng = SimulationEngine()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        eng.schedule(1.0, boom)
+        eng.schedule(2.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert eng.now == 1.0
+        assert eng.run() == 1  # not stuck in the running state
+        assert eng.now == 2.0

@@ -118,3 +118,59 @@ class TestArrivalProfiles:
                 arrival_rate_multipliers("cli-test-zero", 2)
         finally:
             del _ARRIVAL_PROFILES["cli-test-zero"]
+
+
+class TestCyclicArrivalMultiplier:
+    """`arrival_rate_multiplier`: the live stream's cyclic replay."""
+
+    PROFILES = ["stationary", "diurnal", "burst", "flash-crowd"]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_first_cycle_matches_the_bounded_run(self, profile):
+        from repro.workloads.traces import (
+            arrival_rate_multiplier,
+            arrival_rate_multipliers,
+        )
+
+        bounded = arrival_rate_multipliers(profile, 12)
+        live = [arrival_rate_multiplier(profile, i, 12) for i in range(12)]
+        assert live == bounded.tolist()
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_later_cycles_repeat_the_first(self, profile):
+        from repro.workloads.traces import arrival_rate_multiplier
+
+        first = [arrival_rate_multiplier(profile, i, 7) for i in range(7)]
+        third = [arrival_rate_multiplier(profile, i, 7) for i in range(14, 21)]
+        assert third == first
+
+    def test_bad_cycle_rejected(self):
+        from repro.workloads.traces import arrival_rate_multiplier
+
+        with pytest.raises(WorkloadError, match="cycle"):
+            arrival_rate_multiplier("burst", 0, 0)
+
+    def test_negative_interval_rejected(self):
+        from repro.workloads.traces import arrival_rate_multiplier
+
+        with pytest.raises(WorkloadError, match="interval"):
+            arrival_rate_multiplier("burst", -1, 12)
+
+    def test_unknown_profile_rejected(self):
+        from repro.workloads.traces import arrival_rate_multiplier
+
+        with pytest.raises(WorkloadError, match="unknown arrival profile"):
+            arrival_rate_multiplier("full-moon", 0, 12)
+
+    def test_non_positive_profile_output_rejected(self):
+        from repro.workloads.traces import (
+            _ARRIVAL_PROFILES,
+            arrival_rate_multiplier,
+        )
+
+        _ARRIVAL_PROFILES["cyclic-test-zero"] = lambda i, n: 0.0
+        try:
+            with pytest.raises(WorkloadError, match="non-positive"):
+                arrival_rate_multiplier("cyclic-test-zero", 3, 2)
+        finally:
+            del _ARRIVAL_PROFILES["cyclic-test-zero"]

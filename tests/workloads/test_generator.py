@@ -36,6 +36,56 @@ class TestGeneratorConfig:
         with pytest.raises(WorkloadError):
             GeneratorConfig(jobs_per_node_per_s=0.0)
 
+    @pytest.mark.parametrize(
+        "size_range", [(0.0, 10.0), (10.0, 10.0), (10.0, 5.0)],
+        ids=["zero-low", "empty", "inverted"],
+    )
+    def test_invalid_size_range_rejected(self, size_range):
+        with pytest.raises(WorkloadError, match="size range"):
+            GeneratorConfig(size_range_mb=size_range)
+
+    def test_zero_batch_slots_rejected(self):
+        with pytest.raises(WorkloadError, match="max_batch_jobs_per_node"):
+            GeneratorConfig(max_batch_jobs_per_node=0)
+
+    def test_zero_weight_mix_rejected_at_sampling(self):
+        cfg = GeneratorConfig(mix={"spark.sort": 0.0})
+        with pytest.raises(WorkloadError, match="positive"):
+            cfg.profile_weights()
+
+    def test_default_mix_is_uniform_over_all_profiles(self):
+        from repro.workloads.profiles import ALL_PROFILES
+
+        cfg = GeneratorConfig()
+        assert cfg.profile_names() == sorted(ALL_PROFILES)
+        np.testing.assert_allclose(
+            cfg.profile_weights(), 1.0 / len(ALL_PROFILES)
+        )
+
+
+class TestSampling:
+    def test_specs_stay_in_mix_and_size_range(self, rng):
+        cfg = GeneratorConfig(
+            mix={"spark.sort": 1.0, "hadoop.bayes": 3.0},
+            size_range_mb=(mb(10), mb(100)),
+        )
+        gen = BatchJobGenerator(cfg, rng)
+        specs = [gen.sample_spec() for _ in range(400)]
+        names = [s.profile.name for s in specs]
+        assert set(names) == {"spark.sort", "hadoop.bayes"}
+        # Weights 1:3 -> about a quarter of the jobs are spark.sort.
+        assert names.count("spark.sort") / len(names) == pytest.approx(
+            0.25, abs=0.07
+        )
+        sizes = np.array([s.input_mb for s in specs])
+        assert sizes.min() >= mb(10) and sizes.max() <= mb(100)
+
+    def test_sampled_job_arrives_when_asked(self, rng):
+        job = BatchJobGenerator(GeneratorConfig(), rng).sample_job(42.0)
+        assert job.arrival_time == 42.0
+        assert job.duration > 0.0
+        assert job.departure_time == 42.0 + job.duration
+
 
 class TestChurn:
     def test_jobs_arrive_and_depart(self, rng, cluster):
@@ -83,6 +133,25 @@ class TestChurn:
         assert gen.arrived == arrived
         # All in-flight jobs eventually leave.
         assert sum(len(v) for v in gen.active_jobs.values()) == 0
+
+    def test_arrivals_follow_the_poisson_rate(self, rng, cluster):
+        # Every arrival counts, admitted or dropped: E = rate * T * nodes.
+        engine = SimulationEngine()
+        gen = BatchJobGenerator(GeneratorConfig(jobs_per_node_per_s=0.5), rng)
+        gen.start(engine, cluster)
+        engine.run_until(1_000.0)
+        assert gen.arrived == pytest.approx(0.5 * 1_000.0 * 3, rel=0.1)
+
+    def test_departed_jobs_leave_the_cluster(self, rng, cluster):
+        engine = SimulationEngine()
+        gen = BatchJobGenerator(GeneratorConfig(jobs_per_node_per_s=0.5), rng)
+        gen.start(engine, cluster)
+        engine.run_until(60.0)
+        gen.stop()
+        engine.run()
+        assert gen.completed > 0
+        for node in cluster:
+            assert node.contention_for(None).core == 0.0
 
     def test_deterministic_given_seed(self, cluster):
         def run(seed):
