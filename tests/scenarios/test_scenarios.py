@@ -5,7 +5,12 @@ import dataclasses
 
 import pytest
 
-from repro.baselines.policies import BasicPolicy
+from repro.baselines.policies import (
+    AdaptiveReissuePolicy,
+    BasicPolicy,
+    REDPolicy,
+    ReissuePolicy,
+)
 from repro.errors import ConfigurationError, ExperimentError
 from repro.scenarios import (
     ScenarioSpec,
@@ -291,13 +296,82 @@ class TestChainGoldenMetrics:
         },
     }
 
+    #: The routing baselines on the nutch-search config, captured at the
+    #: commit before node contention was read with one in-place sum:
+    #: they pin the path from each policy's induced load through
+    #: ``set_load`` to demand, contention and service distributions.
+    ROUTING_GOLDEN = {
+        "RED-3": {
+            "arrival_rate": 40.0,
+            "component_latency": {
+                "max": 0.025548514279601697, "mean": 0.0026003905759646425,
+                "n": 3065, "p50": 0.002085066604302188,
+                "p95": 0.0061161644201481735, "p99": 0.010056163641439575,
+            },
+            "n_migrations": 0,
+            "n_requests": 613,
+            "overall_latency": {
+                "max": 0.02841512312290667, "mean": 0.008084933735268814,
+                "n": 613, "p50": 0.007340385959444341,
+                "p95": 0.014310657357612312, "p99": 0.01990031209862937,
+            },
+            "per_interval_component_p99": [
+                0.00956568585505746, 0.010191895226135728,
+            ],
+            "per_interval_overall_mean": [
+                0.008067579480842803, 0.008102458687279344,
+            ],
+            "policy_name": "RED-3",
+        },
+        "RI-90": {
+            "arrival_rate": 40.0,
+            "component_latency": {
+                "max": 0.02263106214576617, "mean": 0.0034130608973257552,
+                "n": 3100, "p50": 0.0024179036707532436,
+                "p95": 0.01005685151236995, "p99": 0.013349062028313655,
+            },
+            "n_migrations": 0,
+            "n_requests": 620,
+            "overall_latency": {
+                "max": 0.025847955301061355, "mean": 0.010425726210811453,
+                "n": 620, "p50": 0.009570151152782102,
+                "p95": 0.017070086461450425, "p99": 0.020835821993620923,
+            },
+            "per_interval_component_p99": [
+                0.01342976169348407, 0.013023985195262893,
+            ],
+            "per_interval_overall_mean": [
+                0.010591867915814374, 0.010268959272861988,
+            ],
+            "policy_name": "RI-90",
+        },
+        "ARI-90": {
+            "arrival_rate": 40.0,
+            "component_latency": {
+                "max": 0.019110949189891924, "mean": 0.0034297999452226327,
+                "n": 3310, "p50": 0.0024369284723012173,
+                "p95": 0.009765947898306029, "p99": 0.01263490487255327,
+            },
+            "n_migrations": 0,
+            "n_requests": 662,
+            "overall_latency": {
+                "max": 0.022343699292656772, "mean": 0.010525518886636151,
+                "n": 662, "p50": 0.010094960867998352,
+                "p95": 0.016772575824540926, "p99": 0.01929176093875716,
+            },
+            "per_interval_component_p99": [
+                0.012302677258720043, 0.013042725606633979,
+            ],
+            "per_interval_overall_mean": [
+                0.010531796225858127, 0.010519680778146906,
+            ],
+            "policy_name": "ARI-90",
+        },
+    }
+
     SCALES = {"nutch-search": 1.0, "pipeline-deep": 0.5, "fanout-feed": 0.2}
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    @pytest.mark.parametrize(
-        "scenario", ["nutch-search", "pipeline-deep", "fanout-feed"]
-    )
-    def test_chain_metrics_bit_identical(self, scenario, driver):
+    def _config(self, scenario):
         from repro.service.nutch import NutchConfig
 
         spec = get_scenario(scenario)
@@ -311,9 +385,31 @@ class TestChainGoldenMetrics:
                 n_search_groups=3, replicas_per_group=2,
                 n_segmenters=1, n_aggregators=1,
             )
-        cfg = spec.runner_config(**kwargs)
+        return spec.runner_config(**kwargs)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize(
+        "scenario", ["nutch-search", "pipeline-deep", "fanout-feed"]
+    )
+    def test_chain_metrics_bit_identical(self, scenario, driver):
+        cfg = self._config(scenario)
         result = _drive(ExperimentRunner(cfg), BasicPolicy(), driver)
         assert result.metrics_dict() == self.GOLDEN[scenario]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            REDPolicy(replicas=3),
+            ReissuePolicy(quantile=0.90),
+            AdaptiveReissuePolicy(quantile=0.90),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_routing_policy_metrics_bit_identical(self, policy, driver):
+        cfg = self._config("nutch-search")
+        result = _drive(ExperimentRunner(cfg), policy, driver)
+        assert result.metrics_dict() == self.ROUTING_GOLDEN[policy.name]
 
 
 class TestDagScenarios:
