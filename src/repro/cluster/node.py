@@ -11,7 +11,10 @@ Table II, including the node's own background hardware/software activity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
+
+import numpy as np
 
 from repro.cluster.machine import Machine, MachineKind, Resident
 from repro.cluster.resources import ResourceVector
@@ -46,9 +49,10 @@ class NodeCapacity:
         if self.machine_slots <= 0:
             raise CapacityError("machine_slots must be positive")
 
-    @property
+    @cached_property
     def vector(self) -> ResourceVector:
-        """Saturation levels as a vector (core usage saturates at 1.0)."""
+        """Saturation levels as a vector (core usage saturates at 1.0),
+        built once per capacity."""
         return ResourceVector(
             core=1.0,
             cache_mpki=self.cache_mpki_cap,
@@ -132,14 +136,24 @@ class Node:
     # ------------------------------------------------------------------
     # contention accounting
     # ------------------------------------------------------------------
-    def total_demand(self, exclude: Optional[Resident] = None) -> ResourceVector:
-        """Sum of resident demands (optionally excluding one) + background."""
-        total = self.background
+    def _demand_sum(self, exclude: Optional[Resident]) -> np.ndarray:
+        total = self.background.as_array().copy()
         for resident in self.residents():
-            if resident is exclude:
-                continue
-            total = total + resident.demand
+            if resident is not exclude:
+                total += resident.demand.as_array()
         return total
+
+    def total_demand(self, exclude: Optional[Resident] = None) -> ResourceVector:
+        """Sum of resident demands (optionally excluding one) + background.
+
+        A read copies the background and adds each counted resident's
+        demand to it in place, one at a time in :meth:`residents`
+        (machine) order, then checks the sum once as it becomes a
+        vector.  These are the additions a left fold of ``+`` over the
+        residents makes, in its order, so the bits match that fold;
+        subtracting one resident from a node total would not.
+        """
+        return ResourceVector._of(self._demand_sum(exclude))
 
     def contention_for(self, resident: Optional[Resident]) -> ResourceVector:
         """Contention vector ``U`` observed by ``resident`` (Table II).
@@ -150,9 +164,13 @@ class Node:
         physical bandwidths.
 
         Passing ``None`` returns the contention a *newly arriving*
-        resident would observe.
+        resident would observe.  The sum is :meth:`total_demand`'s,
+        clipped before its one check, so a sum that overflows reads as
+        the capacity.
         """
-        return self.total_demand(exclude=resident).clip(self.capacity.vector)
+        return ResourceVector._of(
+            np.minimum(self._demand_sum(resident), self.capacity.vector.as_array())
+        )
 
     def utilisation(self) -> float:
         """Core-usage fraction of the whole node (for placement/tests)."""

@@ -19,12 +19,19 @@ additive update quantity of Table III (``U' = U ± U_ci``).
 
 It is an immutable value type backed by a small NumPy array so that the
 performance-matrix fast path can stack many of them into ``(m, 4)``
-matrices without conversion cost.
+matrices without conversion cost.  Every vector, whether built from
+scalars or computed by the algebra, passes one checked constructor that
+rejects non-finite and negative entries; the algebra hands it the array
+it computed, so a sum or clip is one NumPy operation and one check.
+A node's contention read (:meth:`repro.cluster.node.Node.total_demand`)
+likewise adds its residents' demands onto the background in machine
+order and makes one checked vector of the result.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,6 +66,17 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(RESOURCE_KINDS)}
 N_RESOURCES = len(RESOURCE_KINDS)
 
 
+def _checked(data: np.ndarray) -> np.ndarray:
+    """Freeze ``data`` once every entry is finite and ``>= 0``."""
+    values = data.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"resource vector must be finite, got {data}")
+    if min(values) < 0:
+        raise ConfigurationError(f"resource vector must be >= 0, got {data}")
+    data.flags.writeable = False
+    return data
+
+
 class ResourceVector:
     """An immutable 4-vector over :data:`RESOURCE_KINDS`.
 
@@ -87,13 +105,17 @@ class ResourceVector:
         disk_bw: float = 0.0,
         net_bw: float = 0.0,
     ) -> None:
-        data = np.array([core, cache_mpki, disk_bw, net_bw], dtype=np.float64)
-        if not np.all(np.isfinite(data)):
-            raise ConfigurationError(f"resource vector must be finite, got {data}")
-        if np.any(data < 0):
-            raise ConfigurationError(f"resource vector must be >= 0, got {data}")
-        data.flags.writeable = False
-        self._data = data
+        self._data = _checked(
+            np.array([core, cache_mpki, disk_bw, net_bw], dtype=np.float64)
+        )
+
+    @classmethod
+    def _of(cls, data: np.ndarray) -> "ResourceVector":
+        """Adopt ``data``, a fresh float64 4-array nothing else holds,
+        with ``__init__``'s checks."""
+        vector = cls.__new__(cls)
+        vector._data = _checked(data)
+        return vector
 
     # ------------------------------------------------------------------
     # constructors
@@ -111,7 +133,7 @@ class ResourceVector:
             raise ConfigurationError(
                 f"expected {N_RESOURCES} entries, got shape {vals.shape}"
             )
-        return cls(*vals)
+        return cls._of(vals)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[ResourceKind, float]) -> "ResourceVector":
@@ -129,7 +151,7 @@ class ResourceVector:
         total = np.zeros(N_RESOURCES)
         for v in vectors:
             total += v._data
-        return cls(*total)
+        return cls._of(total)
 
     # ------------------------------------------------------------------
     # accessors
@@ -171,7 +193,7 @@ class ResourceVector:
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        return ResourceVector(*(self._data + other._data))
+        return ResourceVector._of(self._data + other._data)
 
     def minus(self, other: "ResourceVector") -> "ResourceVector":
         """``self - other`` floored at zero per component.
@@ -180,20 +202,20 @@ class ResourceVector:
         contention of remaining residents; the floor guards against
         negative contention from monitor noise.
         """
-        return ResourceVector(*np.maximum(self._data - other._data, 0.0))
+        return ResourceVector._of(np.maximum(self._data - other._data, 0.0))
 
     def __mul__(self, factor: float) -> "ResourceVector":
         if not isinstance(factor, (int, float, np.floating)):
             return NotImplemented
         if factor < 0:
             raise ConfigurationError(f"cannot scale by negative factor {factor}")
-        return ResourceVector(*(self._data * float(factor)))
+        return ResourceVector._of(self._data * float(factor))
 
     __rmul__ = __mul__
 
     def clip(self, upper: "ResourceVector") -> "ResourceVector":
         """Component-wise ``min(self, upper)`` — saturate at capacity."""
-        return ResourceVector(*np.minimum(self._data, upper._data))
+        return ResourceVector._of(np.minimum(self._data, upper._data))
 
     # ------------------------------------------------------------------
     # comparisons / hashing

@@ -90,7 +90,7 @@ class OnlineMonitor:
         noisy = truth.as_array() * (
             1.0 + scaled_sigmas * self._rng.standard_normal(4)
         )
-        return ResourceVector(*np.maximum(noisy, 0.0))
+        return ResourceVector._of(np.maximum(noisy, 0.0))
 
     def observe_window(
         self, component: Component, duration_s: float

@@ -1,6 +1,9 @@
 """Tests for machines, nodes, and contention accounting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.machine import Machine, MachineKind
 from repro.cluster.node import Node, NodeCapacity
@@ -167,3 +170,79 @@ class TestContention:
     def test_empty_node_name_rejected(self):
         with pytest.raises(PlacementError):
             Node("")
+
+
+amounts = st.floats(
+    min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
+)
+vector_args = st.tuples(amounts, amounts, amounts, amounts)
+
+
+@st.composite
+def reshuffled_nodes(draw):
+    """A node whose machine order differs from its placement order, and
+    the resident (or ``None``) whose contention is read."""
+    capacity = NodeCapacity(
+        cache_mpki_cap=draw(st.floats(1.0, 1e3)),
+        disk_bw_mbps=draw(st.floats(1.0, 1e3)),
+        net_bw_mbps=draw(st.floats(1.0, 1e3)),
+    )
+    node = Node(
+        "n0", capacity=capacity, background=ResourceVector(*draw(vector_args))
+    )
+    placed = []
+    for i in range(draw(st.integers(1, capacity.machine_slots))):
+        resident = FakeResident(
+            f"r{i}",
+            **dict(zip(("core", "cache_mpki", "disk_bw", "net_bw"),
+                       draw(vector_args))),
+        )
+        kind = draw(st.sampled_from(MachineKind))
+        node.host(resident, kind)
+        placed.append((resident, kind))
+    moved = draw(st.lists(st.sampled_from(placed), unique_by=lambda p: p[0].name))
+    for resident, _ in moved:
+        node.evict(resident)
+    for resident, kind in draw(st.permutations(moved)):
+        node.host(resident, kind)
+    exclude = draw(st.none() | st.sampled_from([r for r, _ in placed]))
+    return node, exclude
+
+
+class TestContentionContract:
+    """A read is the background plus every other resident's demand,
+    added one at a time in :meth:`Node.residents` order, then clipped at
+    the capacity: the same bits as this left fold."""
+
+    @given(case=reshuffled_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_equal_the_machine_order_fold(self, case):
+        node, exclude = case
+        total = node.background.as_array()
+        for resident in node.residents():
+            if resident is not exclude:
+                total = np.add(total, resident.demand.as_array())
+        cap = node.capacity
+        clipped = np.minimum(
+            total,
+            [1.0, cap.cache_mpki_cap, cap.disk_bw_mbps, cap.net_bw_mbps],
+        )
+        got_total = node.total_demand(exclude=exclude).as_array()
+        got_contention = node.contention_for(exclude).as_array()
+        assert got_total.tobytes() == total.tobytes()
+        assert got_contention.tobytes() == clipped.tobytes()
+        assert not got_contention.flags.writeable
+
+    def test_capacity_vector_is_built_once(self):
+        cap = NodeCapacity()
+        assert cap.vector is cap.vector
+        assert cap == NodeCapacity() and hash(cap) == hash(NodeCapacity())
+        assert repr(cap) == repr(NodeCapacity())
+
+    def test_overflowing_sum_reads_as_capacity(self):
+        huge = np.finfo(np.float64).max
+        node = Node("n0", background=ResourceVector(disk_bw=huge))
+        node.host(FakeResident("j", disk_bw=huge), MachineKind.BATCH)
+        with np.errstate(over="ignore"):
+            assert node.contention_for(None).disk_bw == 300.0
+

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.machine import MachineKind
+from repro.cluster.node import Node
 from repro.cluster.resources import RESOURCE_KINDS, ResourceKind, ResourceVector
 from repro.errors import ConfigurationError
 
@@ -98,6 +100,37 @@ class TestAlgebra:
 
     def test_empty_sum_is_zero(self):
         assert ResourceVector.sum([]) == ResourceVector.zero()
+
+
+class TestOverflow:
+    """A result that overflows to ``inf`` fails the finite check."""
+
+    HUGE = np.finfo(np.float64).max
+
+    def test_sum_overflow_rejected(self):
+        v = ResourceVector(core=self.HUGE)
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigurationError, match="must be finite"
+        ):
+            v + v
+
+    def test_scale_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigurationError, match="must be finite"
+        ):
+            ResourceVector(net_bw=self.HUGE) * 2.0
+
+    def test_node_total_demand_overflow_rejected(self):
+        class Job:
+            name = "job"
+            demand = ResourceVector(cache_mpki=self.HUGE)
+
+        node = Node("n0", background=ResourceVector(cache_mpki=self.HUGE))
+        node.host(Job(), MachineKind.BATCH)
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigurationError, match="must be finite"
+        ):
+            node.total_demand()
 
 
 class TestEqualityHash:
