@@ -52,6 +52,7 @@ classed scenario's class table.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -130,13 +131,15 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for rates and durations that must be > 0."""
+    """argparse type for rates and durations that must be finite and > 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
     return value
 
 
@@ -519,6 +522,13 @@ def _run_sweep(args) -> int:
     )
     if not policies:
         print("error: --policies must name at least one value", file=sys.stderr)
+        return 2
+    if not 0 <= args.warmup_intervals < args.intervals:
+        print(
+            "error: --warmup-intervals must be >= 0 and below --intervals "
+            f"(got {args.warmup_intervals} vs {args.intervals})",
+            file=sys.stderr,
+        )
         return 2
     scenario = get_scenario(args.scenario)
     overrides = dict(

@@ -157,6 +157,18 @@ class TestCLI:
             ["serve", "--max-windows", "0"],
             ["serve", "--profiling-conditions", "0"],
             ["serve", "--nodes", "0"],
+            ["quick", "--rate", "nan"],
+            [
+                "sweep", "--rates", "nan", "--nodes", "4",
+                "--intervals", "2", "--interval-s", "2",
+            ],
+            [
+                "sweep", "--interval-s", "nan", "--nodes", "4",
+                "--intervals", "2", "--rates", "10",
+            ],
+            ["serve", "--rate", "nan"],
+            ["serve", "--window-s", "nan"],
+            ["serve", "--dilation", "nan"],
         ],
         ids=[
             "sweep-rates", "sweep-seeds", "fig6-seeds",
@@ -169,6 +181,8 @@ class TestCLI:
             "serve-zero-rate", "serve-zero-window-s", "serve-zero-trace-cycle",
             "serve-zero-dilation", "serve-zero-max-windows",
             "serve-zero-profiling-conditions", "serve-zero-nodes",
+            "quick-nan-rate", "sweep-nan-rate", "sweep-nan-interval-s",
+            "serve-nan-rate", "serve-nan-window-s", "serve-nan-dilation",
         ],
     )
     def test_malformed_or_non_positive_number_is_a_usage_error(
@@ -178,6 +192,39 @@ class TestCLI:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quick", "--rate", "inf"],
+            ["sweep", "--rates", "inf"],
+            ["sweep", "--rates", "40,inf"],
+            ["sweep", "--interval-s", "inf"],
+            ["serve", "--rate", "inf"],
+            ["serve", "--window-s", "inf"],
+            ["serve", "--dilation", "inf"],
+        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_infinite_number_is_a_usage_error(self, argv, capsys):
+        # Parser only: an infinite rate must never reach a simulation.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warmup", ["2", "3", "-1"])
+    def test_warmup_intervals_out_of_range_is_a_usage_error(
+        self, warmup, capsys
+    ):
+        argv = [
+            "sweep", "--rates", "10", "--nodes", "4", "--intervals", "2",
+            "--interval-s", "2", "--warmup-intervals", warmup,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--warmup-intervals" in err and "--intervals" in err
 
     def test_empty_policy_list_is_an_error(self, capsys):
         assert main(["sweep", "--policies", ","]) == 2
