@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Static invariant checks over ``src/repro`` — tier-1 CI gate.
 
-Two repo-wide conventions are load-bearing enough to enforce
+Three repo-wide conventions are load-bearing enough to enforce
 mechanically rather than by review:
 
 **Percentile invariant.**  Latency percentiles are nearest-rank, never
@@ -22,6 +22,12 @@ argument), the global legacy API (``np.random.seed``,
 into seeds) and ``random.random``-style stdlib draws are all banned in
 library code.
 
+**No unread imports.**  Every name a module outside ``__init__.py``
+imports is read somewhere in it: loaded, used as the root of an
+attribute, listed in ``__all__`` or named inside a string annotation.
+Docstrings and comments are not reads.  An import line marked
+``# noqa: F401`` is exempt (a name other modules read as an attribute).
+
 Violations print ``path:line: message`` and exit 1, so the CI log
 points straight at the offending statement.  Run from the repo root::
 
@@ -33,6 +39,7 @@ self-test exercises the checker against synthetic trees that way).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -97,6 +104,60 @@ def strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
+def _annotation_names(annotation: ast.expr | None) -> set[str]:
+    """Names inside an annotation, parsing any string parts of it."""
+    names: set[str] = set()
+    if annotation is None:
+        return names
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unread_imports(path: Path) -> list[str]:
+    """``path:line`` for each imported name the module never reads."""
+    if path.name == "__init__.py":
+        return []
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*" or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, alias.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            read |= _annotation_names(node.annotation)
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            read |= {
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            }
+    return [
+        f"{path}:{lineno}: {name!r} is imported and never read"
+        for name, lineno in imported.items()
+        if name not in read
+    ]
+
+
 def check_file(path: Path, src_root: Path) -> list[str]:
     rel = path.relative_to(src_root).as_posix()
     violations: list[str] = []
@@ -116,7 +177,7 @@ def check_file(path: Path, src_root: Path) -> list[str]:
                 f"sanctioned sites — go through repro.sim.metrics."
                 f"percentile (nearest-rank) instead"
             )
-    return violations
+    return violations + unread_imports(path)
 
 
 def main(argv: list[str] | None = None) -> int:

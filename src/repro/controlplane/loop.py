@@ -23,7 +23,7 @@ long-standing test seam that monkeypatches it there.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.controlplane.clock import Clock, VirtualClock
 from repro.controlplane.phases import (

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.baselines.policies import BasicPolicy, PCSPolicy
-from repro.errors import ExperimentError
 from repro.experiments.fig7 import make_instance, _oracle
 from repro.experiments.report import render_table
 from repro.model.matrix import PerformanceMatrix
@@ -26,7 +25,6 @@ from repro.scheduler.threshold import AdaptiveThreshold, StaticThreshold
 from repro.service.nutch import NutchConfig
 from repro.sim.runner import ExperimentRunner, RunnerConfig
 from repro.units import ms
-from repro.workloads.generator import GeneratorConfig
 
 __all__ = [
     "AblationConfig",

@@ -20,7 +20,7 @@ quick shape checks where absolute times don't matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 

@@ -7,7 +7,7 @@ what the ``repro`` subcommands print.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.errors import ExperimentError
 

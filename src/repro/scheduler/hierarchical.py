@@ -17,7 +17,6 @@ from O(m²k) to O(m·group_size·k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -22,7 +22,7 @@ from typing import Dict, Sequence
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineKind
 from repro.errors import SchedulingError
-from repro.scheduler.pcs import Migration, SchedulingOutcome
+from repro.scheduler.pcs import SchedulingOutcome
 from repro.service.component import Component
 
 __all__ = ["MigrationCostModel", "MigrationExecutor"]

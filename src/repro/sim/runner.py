@@ -48,7 +48,7 @@ from repro.baselines.policies import PCSPolicy, Policy, routing_kernel_for
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeCapacity
 from repro.errors import ConfigurationError, ExperimentError
-from repro.interference.ground_truth import InterferenceModel, default_interference_model
+from repro.interference.ground_truth import default_interference_model
 from repro.model.predictor import LatencyPredictor, OraclePredictor
 from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
 from repro.monitoring.streaming import ReissueThresholdFeed
@@ -62,11 +62,12 @@ from repro.service.topology import ResolvedClassMix
 from repro.sim.estimators import IntervalAccumulatorSet, LatencyAccumulator
 from repro.sim.metrics import LatencySummary
 from repro.sim.profiling import ProfilingConfig, train_predictor_for_service
+from repro.sim.queue_sim import IntervalOutcome
 
 # simulate_service_interval must stay a *module attribute*: the control
 # loop invokes it as `runner_mod.simulate_service_interval`, preserving
 # the seam tests monkeypatch here.
-from repro.sim.queue_sim import IntervalOutcome, simulate_service_interval
+from repro.sim.queue_sim import simulate_service_interval  # noqa: F401
 from repro.simcore.engine import SimulationEngine
 from repro.workloads.generator import BatchJobGenerator, GeneratorConfig
 from repro.workloads.traces import arrival_profile_names, arrival_rate_multipliers

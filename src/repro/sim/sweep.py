@@ -150,7 +150,6 @@ from repro.baselines.policies import (
     AdaptiveReissuePolicy,
     BasicPolicy,
     HedgedPolicy,
-    PCSPolicy,
     Policy,
     REDPolicy,
     ReissuePolicy,

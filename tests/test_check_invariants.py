@@ -76,3 +76,23 @@ def test_seeded_generators_pass(tmp_path):
 def test_missing_tree_exits_2(tmp_path):
     proc = _run(str(tmp_path / "nope"))
     assert proc.returncode == 2
+
+
+def test_unread_import_reported_with_file_and_line(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '"""Names path only in this docstring."""\n'
+        "import json\n"
+        "from os import path  # a comment naming path is no read\n"
+        "from os import sep\n"
+        "from os import getcwd  # noqa: F401\n"
+        "from typing import Dict, Optional\n"
+        '__all__ = ["sep"]\n'
+        'def dump(x: "Optional[Dict[str, int]]") -> str:\n'
+        "    return json.dumps(x)\n"
+    )
+    (tmp_path / "__init__.py").write_text("from os import sep\n")
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert f"{mod}:3: 'path' is imported and never read" in proc.stderr
+    assert "1 violation(s)" in proc.stderr
