@@ -143,9 +143,9 @@ def unread_imports(path: Path) -> list[str]:
             read |= _annotation_names(node.returns)
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
             read |= _annotation_names(node.annotation)
-        if (
+        elif (
             isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
             and isinstance(node.value, (ast.List, ast.Tuple))
         ):
             read |= {
