@@ -192,11 +192,8 @@ def reshuffled_nodes(draw):
     )
     placed = []
     for i in range(draw(st.integers(1, capacity.machine_slots))):
-        resident = FakeResident(
-            f"r{i}",
-            **dict(zip(("core", "cache_mpki", "disk_bw", "net_bw"),
-                       draw(vector_args))),
-        )
+        resident = FakeResident(f"r{i}")
+        resident.demand = ResourceVector(*draw(vector_args))
         kind = draw(st.sampled_from(MachineKind))
         node.host(resident, kind)
         placed.append((resident, kind))
@@ -245,4 +242,3 @@ class TestContentionContract:
         node.host(FakeResident("j", disk_bw=huge), MachineKind.BATCH)
         with np.errstate(over="ignore"):
             assert node.contention_for(None).disk_bw == 300.0
-
