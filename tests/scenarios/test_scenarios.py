@@ -2,6 +2,8 @@
 round-trip."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -21,7 +23,12 @@ from repro.scenarios import (
 )
 from repro.sim.aggregate import SweepSummary
 from repro.sim.runner import ExperimentRunner, RunnerConfig
-from repro.sim.sweep import ParallelSweepRunner, SweepCache, SweepSpec
+from repro.sim.sweep import (
+    ParallelSweepRunner,
+    SweepCache,
+    SweepSpec,
+    policy_from_name,
+)
 
 
 BUILTINS = (
@@ -410,6 +417,60 @@ class TestChainGoldenMetrics:
         cfg = self._config("nutch-search")
         result = _drive(ExperimentRunner(cfg), policy, driver)
         assert result.metrics_dict() == self.ROUTING_GOLDEN[policy.name]
+
+
+class TestRoutingGridGolden:
+    """The benchmark's routing-grid shape at one seed: nutch-search on
+    16 nodes with 10 search groups of 4 replicas, three 30 s intervals
+    (one warm-up), six routing policies at three rates.
+
+    Four-replica groups put RED-3 below the group size and give RED-5,
+    RI-99 and ARI-99 an end-to-end pin, which the two-replica configs
+    above cannot.  Each point's ``metrics_dict()`` is pinned by a
+    blake2b digest captured before the routing kernels sorted each
+    group's requests by replica.
+    """
+
+    RATES = (10.0, 50.0, 200.0)
+
+    #: (policy name, arrival rate) -> blake2b-128 of the sorted-key JSON.
+    DIGESTS = {
+        ("Basic", 10.0): "899afdccd515541a5c70b612fc2a1380",
+        ("RED-3", 10.0): "d23cb346b795196c8b2f953579358f4c",
+        ("RED-5", 10.0): "d7b8fc676d8f7f91e80c6c743f674f8c",
+        ("RI-90", 10.0): "71506d02e3e66391a08ee03bc38597d1",
+        ("RI-99", 10.0): "9d82ad95246f718ee5fe3b5d37f6a921",
+        ("ARI-99", 10.0): "1f709b8dbb7db59366a18c1823077dde",
+        ("Basic", 50.0): "0a41f2c3710718c24662222f650a53d7",
+        ("RED-3", 50.0): "d01aa1b061c965c54e7aa9b05676fa0c",
+        ("RED-5", 50.0): "d4f818920abf7459b9cc0e5dcb1710d9",
+        ("RI-90", 50.0): "deb714b0dfa6e20ca6f8d0ffe3b4d5a5",
+        ("RI-99", 50.0): "2b603dbd5c27e75f07d3104f1a954958",
+        ("ARI-99", 50.0): "e8530d5e93ba08a814552c1c03a015e6",
+        ("Basic", 200.0): "18811a99a9995ddaab7c8ef8e9a18e23",
+        ("RED-3", 200.0): "a8cfa979d0104c6c8d89af30be3819de",
+        ("RED-5", 200.0): "671ac8c514c9c6f595aa03e1e412c429",
+        ("RI-90", 200.0): "ccaa4882354254a48f25100096142fbb",
+        ("RI-99", 200.0): "a8d5eb674f14af5965cb5b9f744203de",
+        ("ARI-99", 200.0): "d70a19420c4a43b68470ecd959411fb5",
+    }
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize(
+        "policy", ["Basic", "RED-3", "RED-5", "RI-90", "RI-99", "ARI-99"]
+    )
+    def test_point_metrics_bit_identical(self, policy, rate):
+        from repro.service.nutch import NutchConfig
+
+        cfg = get_scenario("nutch-search").runner_config(
+            n_nodes=16, arrival_rate=rate, interval_s=30.0, n_intervals=3,
+            warmup_intervals=1, seed=101,
+            nutch=NutchConfig(n_search_groups=10, replicas_per_group=4),
+        )
+        result = ExperimentRunner(cfg).run(policy_from_name(policy))
+        encoded = json.dumps(result.metrics_dict(), sort_keys=True).encode()
+        digest = hashlib.blake2b(encoded, digest_size=16).hexdigest()
+        assert digest == self.DIGESTS[(policy, rate)]
 
 
 class TestDagScenarios:
