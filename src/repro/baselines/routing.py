@@ -19,6 +19,25 @@ from the caller's generator, and the sample paths are exactly the ones
 the pre-kernel simulator produced (pinned bit-for-bit by
 ``tests/baselines/test_routing_kernels.py``).
 
+Replica-sorted layout: each kernel groups a call's requests by replica
+with one stable sort of small integer keys, and slices, instead of
+building a boolean mask per replica and pass.  A stable sort keeps
+each replica's requests in arrival order, which is the order its
+masks selected, so every draw, every float operation and every
+appended part happens in the same order on the same values, and the
+results are bit for bit the mask loop's
+(``tests/baselines/test_routing_reference.py`` checks them against the
+mask-loop kernels kept in ``tests/baselines/routing_reference.py``).
+Random split and reissue sort the requests by primary replica, and
+replica r's reissued secondaries are read from replica r - 1's slice.
+RED-k sorts its k copies per request, listed request-major, by replica;
+its start and finish tables stay flat (copy c of request i in slot
+c * n + i), and a running minimum over the k rows picks each winning
+copy, keeping the lowest copy on a tie as ``argmin`` does.  The winning
+replicas' sojourns come out of one more stable sort.  The reissue
+timer reads the primary sojourns in replica order, which its
+percentile does not depend on.
+
 Mechanics (see the paper's §VI-C descriptions)
 ----------------------------------------------
 :class:`RandomSplitKernel` (Basic / PCS)
@@ -73,7 +92,7 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Protocol
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -144,6 +163,38 @@ def _primary_choice(
     return rng.integers(0, n_replicas, n)
 
 
+def _by_replica(
+    replica: np.ndarray, r_count: int
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """Positions grouped by replica, and each replica's slice bounds.
+
+    For ``start, end = bounds[r]``, ``order[start:end]`` lists the
+    positions whose ``replica`` is ``r`` in increasing order, because
+    the sort is stable.  The keys are cast to the narrowest unsigned
+    type that holds them: NumPy radix-sorts keys of 16 bits or less,
+    several times faster than it argsorts int64.
+    """
+    keys = replica.astype(np.min_scalar_type(r_count - 1), copy=False)
+    order = np.argsort(keys, kind="stable")
+    ends = np.bincount(keys, minlength=r_count).cumsum().tolist()
+    return order, list(zip([0] + ends[:-1], ends))
+
+
+def _append_by_replica(
+    sojourns: Dict[str, List[np.ndarray]],
+    group: ReplicaGroup,
+    winner: np.ndarray,
+    latencies: np.ndarray,
+) -> None:
+    """Append each replica's won latencies, in arrival order, to its
+    sojourn parts (metric 1); replicas that won nothing append nothing."""
+    order, bounds = _by_replica(winner, group.n_replicas)
+    by_winner = latencies[order]
+    for comp, (start, end) in zip(group.components, bounds):
+        if end > start:
+            sojourns[comp.name].append(by_winner[start:end])
+
+
 class RoutingKernel(ABC):
     """How one replica group serves one interval's sub-requests."""
 
@@ -206,24 +257,26 @@ class RandomSplitKernel(RoutingKernel):
     ) -> RoutingOutcome:
         n = arrivals.size
         r_count = group.n_replicas
-        primary = _primary_choice(n, r_count, rng)
-        group_lat = np.empty(n)
-        for r, comp in enumerate(group.components):
-            mask = primary == r
-            t = arrivals[mask]
+        order, bounds = _by_replica(_primary_choice(n, r_count, rng), r_count)
+        t_sorted = arrivals[order]
+        x_sorted = None if scale is None else scale[order]
+        soj_sorted = np.empty(n)
+        for comp, (start, end) in zip(group.components, bounds):
+            t = t_sorted[start:end]
             s = np.asarray(dists[comp.name].sample(rng, t.size), dtype=np.float64)
-            if scale is not None:
-                s = s * scale[mask]
+            if x_sorted is not None:
+                s = s * x_sorted[start:end]
             if carries is None:
                 w = lindley_waits(t, s, validate=False)
             else:
                 w, carries[comp.name] = lindley_waits_chunked(
                     t, s, carries.get(comp.name), validate=False
                 )
-            soj = w + s
-            group_lat[mask] = soj
+            soj = np.add(w, s, out=soj_sorted[start:end])
             sojourns[comp.name].append(soj)
             services[comp.name].append(s)
+        group_lat = np.empty(n)
+        group_lat[order] = soj_sorted
         return RoutingOutcome(group_lat)
 
 
@@ -259,53 +312,64 @@ class RedundancyKernel(RoutingKernel):
                 arrivals, group, dists, rng, sojourns, services, scale
             )
         primary = _primary_choice(n, r_count, rng)
-        # copy c of request i runs on replica (primary[i] + c) % r_count.
-        starts = np.full((k, n), np.inf)
-        svc = np.zeros((k, n))
-        replica_req: Dict[int, np.ndarray] = {}
-        replica_copy: Dict[int, np.ndarray] = {}
-        for r in range(r_count):
-            copy_idx = (r - primary) % r_count
-            mask = copy_idx < k
-            req_ids = np.flatnonzero(mask)
-            if req_ids.size == 0:
+        # Copy c of request i runs on replica (primary[i] + c) % r_count
+        # and fills slot c * n + i of the flat (k, n) tables.  Listed
+        # request-major (position i * k + c), the copies sort stably by
+        # replica into each replica's copies in arrival order.
+        rotations = (np.arange(r_count)[:, None] + np.arange(k)) % r_count
+        copy_replica = np.take(
+            rotations.astype(np.min_scalar_type(r_count - 1)), primary, axis=0
+        )
+        pos, bounds = _by_replica(copy_replica.ravel(), r_count)
+        req = pos // k
+        slot = (pos - req * k) * n + req
+        t_sorted = arrivals[req]
+        # Pass 1: uncancelled sample paths give each copy's start time.
+        starts_sorted = np.empty(k * n)
+        svc_sorted = np.empty(k * n)
+        for comp, (start, end) in zip(group.components, bounds):
+            if end == start:
                 continue
-            t = arrivals[req_ids]
-            s = np.asarray(dists[group.components[r].name].sample(rng, t.size))
+            t = t_sorted[start:end]
+            s = np.asarray(dists[comp.name].sample(rng, t.size))
             if scale is not None:
-                s = s * scale[req_ids]
+                s = s * scale[req[start:end]]
             w = lindley_waits(t, s, validate=False)
-            c = copy_idx[req_ids]
-            starts[c, req_ids] = t + w
-            svc[c, req_ids] = s
-            replica_req[r] = req_ids
-            replica_copy[r] = c
+            np.add(t, w, out=starts_sorted[start:end])
+            svc_sorted[start:end] = s
+        starts = np.empty(k * n)
+        starts[slot] = starts_sorted
+        starts = starts.reshape(k, n)
         # Imperfect cancellation: a copy dies iff a sibling began execution
         # more than the message delay before this copy would start.
-        first_start = starts.min(axis=0)
-        cancelled = starts > first_start + self.cancel_delay_s
+        cancelled = starts > starts.min(axis=0) + self.cancel_delay_s
+        live_sorted = ~cancelled.ravel()[slot]
         # Pass 2: cancelled copies consume no service time.
-        svc2 = np.where(cancelled, 0.0, svc)
-        finish = np.full((k, n), np.inf)
-        for r, req_ids in replica_req.items():
-            t = arrivals[req_ids]
-            c = replica_copy[r]
-            s2 = svc2[c, req_ids]
+        svc2_sorted = np.where(live_sorted, svc_sorted, 0.0)
+        finish_sorted = np.empty(k * n)
+        for comp, (start, end) in zip(group.components, bounds):
+            if end == start:
+                continue
+            t = t_sorted[start:end]
+            s2 = svc2_sorted[start:end]
             w2 = lindley_waits(t, s2, validate=False)
-            finish[c, req_ids] = t + w2 + s2
-            live = ~cancelled[c, req_ids]
+            finish_sorted[start:end] = t + w2 + s2
             # Executed work only — cancelled copies never ran.
-            services[group.components[r].name].append(s2[live])
-        finish = np.where(cancelled, np.inf, finish)
-        winner_copy = np.argmin(finish, axis=0)
-        group_lat = finish[winner_copy, np.arange(n)] - arrivals
+            services[comp.name].append(s2[live_sorted[start:end]])
+        finish = np.empty(k * n)
+        finish[slot] = finish_sorted
+        finish = np.where(cancelled, np.inf, finish.reshape(k, n))
+        # The quickest copy wins: a running minimum over the k rows, with
+        # strict < so that a tie keeps the lowest copy, as argmin does.
+        best, winner = finish[0], copy_replica[:, 0]
+        for c in range(1, k):
+            better = finish[c] < best
+            best = np.where(better, finish[c], best)
+            winner = np.where(better, copy_replica[:, c], winner)
+        group_lat = best - arrivals
         # Metric 1 records the quickest replica's latency per sub-request,
         # attributed to the winning component.
-        winner_replica = (primary + winner_copy) % r_count
-        for r, comp in enumerate(group.components):
-            won = winner_replica == r
-            if won.any():
-                sojourns[comp.name].append(group_lat[won])
+        _append_by_replica(sojourns, group, winner, group_lat)
         # Realized duplicates: copies that escaped cancellation and
         # consumed service time, beyond the one execution per request.
         duplicates = int(k * n - np.count_nonzero(cancelled) - n)
@@ -351,56 +415,59 @@ class ReissueKernel(RoutingKernel):
                 arrivals, group, dists, rng, sojourns, services, scale
             )
         primary = _primary_choice(n, r_count, rng)
+        order, bounds = _by_replica(primary, r_count)
+        t_sorted = arrivals[order]
+        x_sorted = None if scale is None else scale[order]
         # Pass 1: primary-only sample paths give each request's would-be
         # latency and set the reissue threshold.
         soj1 = np.empty(n)
         svc1 = np.empty(n)
-        for r, comp in enumerate(group.components):
-            mask = primary == r
-            t = arrivals[mask]
+        for comp, (start, end) in zip(group.components, bounds):
+            t = t_sorted[start:end]
             s = np.asarray(dists[comp.name].sample(rng, t.size))
-            if scale is not None:
-                s = s * scale[mask]
-            soj1[mask] = lindley_waits(t, s, validate=False) + s
-            svc1[mask] = s
+            if x_sorted is not None:
+                s = s * x_sorted[start:end]
+            soj1[start:end] = lindley_waits(t, s, validate=False) + s
+            svc1[start:end] = s
         threshold = self._threshold(soj1, n)
         reissue = soj1 > threshold
-        secondary_replica = (primary + 1) % r_count
+        # Pass 2: replica r serves its own primaries and, as secondaries,
+        # the reissued primaries of replica r - 1.
         soj2 = np.empty(n)
         sec_soj = np.full(n, np.inf)
         for r, comp in enumerate(group.components):
-            p_mask = primary == r
-            s_mask = reissue & (secondary_replica == r)
-            t_p = arrivals[p_mask]
-            t_s = arrivals[s_mask] + threshold
-            s_p = svc1[p_mask]
-            s_s = np.asarray(dists[comp.name].sample(rng, int(s_mask.sum())))
-            if scale is not None:
-                s_s = s_s * scale[s_mask]
+            start, end = bounds[r]
+            prev_start, prev_end = bounds[r - 1]
+            sec = prev_start + np.flatnonzero(reissue[prev_start:prev_end])
+            t_p = t_sorted[start:end]
+            t_s = t_sorted[sec] + threshold
+            s_s = np.asarray(dists[comp.name].sample(rng, sec.size))
+            if x_sorted is not None:
+                s_s = s_s * x_sorted[sec]
             # Merge primary and secondary streams in arrival order.
             t_all = np.concatenate([t_p, t_s])
-            s_all = np.concatenate([s_p, s_s])
-            order = np.argsort(t_all, kind="stable")
-            w_all = lindley_waits(t_all[order], s_all[order], validate=False)
-            soj_all = np.empty_like(w_all)
-            soj_all[...] = w_all + s_all[order]
+            s_all = np.concatenate([svc1[start:end], s_s])
+            merge = np.argsort(t_all, kind="stable")
+            s_merged = s_all[merge]
+            w_all = lindley_waits(t_all[merge], s_merged, validate=False)
             # Un-permute back to primary/secondary slots.
-            unsorted = np.empty_like(soj_all)
-            unsorted[order] = soj_all
-            soj2[p_mask] = unsorted[: t_p.size]
-            sec_soj[s_mask] = unsorted[t_p.size :]
+            unsorted = np.empty_like(w_all)
+            unsorted[merge] = w_all + s_merged
+            soj2[start:end] = unsorted[: t_p.size]
+            sec_soj[sec] = unsorted[t_p.size :]
             services[comp.name].append(s_all)
         with np.errstate(invalid="ignore"):
-            reissued_lat = np.minimum(soj2, threshold + sec_soj)
-        group_lat = np.where(reissue, reissued_lat, soj2)
-        # Metric 1: quickest copy per sub-request, attributed to its component.
-        primary_won = ~reissue | (soj2 <= threshold + sec_soj)
-        for r, comp in enumerate(group.components):
-            won_primary = (primary == r) & primary_won
-            won_secondary = (secondary_replica == r) & reissue & ~primary_won
-            won = won_primary | won_secondary
-            if won.any():
-                sojourns[comp.name].append(group_lat[won])
+            sec_lat = threshold + sec_soj
+            reissued_lat = np.minimum(soj2, sec_lat)
+        group_lat = np.empty(n)
+        group_lat[order] = np.where(reissue, reissued_lat, soj2)
+        # Metric 1: quickest copy per sub-request, attributed to its
+        # component; a secondary wins only by finishing strictly first.
+        secondary_won = np.empty(n, dtype=bool)
+        secondary_won[order] = reissue & (soj2 > sec_lat)
+        winner = primary + secondary_won
+        winner[winner == r_count] = 0
+        _append_by_replica(sojourns, group, winner, group_lat)
         # Every reissued request executed its secondary to completion —
         # the realized duplicate count is exactly the reissue count.
         return RoutingOutcome(group_lat, int(np.count_nonzero(reissue)))

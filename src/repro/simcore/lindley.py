@@ -13,10 +13,12 @@ prefix sums — with ``D_n = S_{n-1} - A_n`` and ``C_n = D_1 + … + D_n``::
     W_n = C_n - min(-w0, C_1, …, C_n)
 
 which NumPy evaluates in O(n) with ``cumsum`` + ``minimum.accumulate``
-and **no Python-level loop**.  This is the production kernel behind the
-interval simulator in :mod:`repro.sim.queue_sim`; the legible loop form
-is kept as :func:`lindley_waits_reference` and property-tested against
-the vectorised form (see ``tests/simcore/test_lindley.py``).
+and **no Python-level loop**.  This is the production kernel: the
+routing kernels in :mod:`repro.baselines.routing` call it for every
+replica's queue in every interval :mod:`repro.sim.queue_sim`
+simulates.  The legible loop form is kept as
+:func:`lindley_waits_reference` and property-tested against the
+vectorised form (see ``tests/simcore/test_lindley.py``).
 
 This exactness matters: the queueing behaviour (Eq. 2 of the paper and
 everything downstream of it) is reproduced from first principles, not
