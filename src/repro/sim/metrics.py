@@ -12,12 +12,14 @@ actually observed latency — the convention tail-latency papers use.
 
 This module is the **shared metric kernel**: every reported percentile
 in the package must go through :func:`percentile` (or
-:func:`summarize`) so that all drivers, benchmarks and examples agree
-on the convention.  The only sanctioned raw ``np.percentile`` calls
-outside this module live in :mod:`repro.monitoring.streaming` (which
-documents its own estimator) and in policy-internal mechanics that are
-not reported metrics (e.g. the reissue timer in
-:mod:`repro.sim.queue_sim`).
+:func:`percentiles`, or :func:`summarize`, which reads its three from
+one partition of the sample) so that all drivers, benchmarks and
+examples agree on the convention.  The only sanctioned raw
+``np.percentile`` calls outside this module live in
+:mod:`repro.monitoring.streaming` (which documents its own estimator)
+and in policy-internal mechanics that are not reported metrics (the
+reissue timer, ``ReissueKernel._threshold`` in
+:mod:`repro.baselines.routing`).
 
 The streaming estimator layer (:mod:`repro.sim.estimators`) obeys the
 same rule: its reservoir quantiles call :func:`percentile` on the kept
@@ -29,13 +31,13 @@ contract documented (and property-tested) in that module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["percentile", "LatencySummary", "summarize", "pool"]
+__all__ = ["percentile", "percentiles", "LatencySummary", "summarize", "pool"]
 
 
 def _ctx(label: str) -> str:
@@ -43,9 +45,11 @@ def _ctx(label: str) -> str:
     return f" ({label})" if label else ""
 
 
-def percentile(values, q: float, *, label: str = "") -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty sample.
+def percentiles(values, qs: Sequence[float], *, label: str = "") -> Tuple[float, ...]:
+    """Nearest-rank percentiles (each q in [0, 100]) of a non-empty
+    sample, taken from one partition of it.
 
+    Each value equals what :func:`percentile` returns for its q alone.
     ``label`` names the sample in error messages (e.g. ``"interval 3
     pooled component latencies"``) so an empty sample fails
     diagnosably instead of with a bare "empty sample".
@@ -53,9 +57,15 @@ def percentile(values, q: float, *, label: str = "") -> float:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise SimulationError(f"percentile of an empty sample{_ctx(label)}")
-    if not 0 <= q <= 100:
-        raise SimulationError(f"q must be in [0, 100], got {q}")
-    return float(np.percentile(arr, q, method="higher"))
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise SimulationError(f"q must be in [0, 100], got {q}")
+    return tuple(np.percentile(arr, qs, method="higher").tolist())
+
+
+def percentile(values, q: float, *, label: str = "") -> float:
+    """Nearest-rank percentile (q in [0, 100]) of a non-empty sample."""
+    return percentiles(values, (q,), label=label)[0]
 
 
 @dataclass(frozen=True)
@@ -113,12 +123,13 @@ def summarize(values, *, label: str = "") -> LatencySummary:
         )
     if np.any(arr < 0):
         raise SimulationError(f"latencies must be non-negative{_ctx(label)}")
+    p50, p95, p99 = percentiles(arr, (50, 95, 99), label=label)
     return LatencySummary(
         n=int(arr.size),
         mean=float(arr.mean()),
-        p50=percentile(arr, 50, label=label),
-        p95=percentile(arr, 95, label=label),
-        p99=percentile(arr, 99, label=label),
+        p50=p50,
+        p95=p95,
+        p99=p99,
         max=float(arr.max()),
     )
 

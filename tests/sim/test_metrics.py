@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.metrics import LatencySummary, percentile, pool, summarize
+from repro.sim.metrics import (
+    LatencySummary,
+    percentile,
+    percentiles,
+    pool,
+    summarize,
+)
 
 
 class TestPercentile:
@@ -26,6 +32,37 @@ class TestPercentile:
     def test_bad_q_rejected(self):
         with pytest.raises(SimulationError):
             percentile([1.0], 150)
+
+
+class TestPercentiles:
+    """``percentiles`` reads several q from one partition; each value
+    must be the one a lone ``percentile`` call (and NumPy's scalar
+    nearest-rank call) gives, ties included."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 1001])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_one_call_per_q_on_tied_samples(self, size, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so most ranks fall inside runs of ties.
+        xs = np.round(rng.lognormal(0.0, 1.0, size), 1)
+        qs = (50, 95, 99)
+        got = np.array(percentiles(xs, qs))
+        one_by_one = np.array([percentile(xs, q) for q in qs])
+        scalar_numpy = np.array(
+            [np.percentile(xs, q, method="higher") for q in qs]
+        )
+        assert got.tobytes() == one_by_one.tobytes() == scalar_numpy.tobytes()
+        s = summarize(xs)
+        assert np.array([s.p50, s.p95, s.p99]).tobytes() == got.tobytes()
+
+    def test_empty_sample_rejected_with_context(self):
+        with pytest.raises(SimulationError, match=r"empty sample \(pool\)"):
+            percentiles([], (50, 95, 99), label="pool")
+
+    @pytest.mark.parametrize("q", [-0.1, 100.1, float("nan")])
+    def test_out_of_range_q_rejected(self, q):
+        with pytest.raises(SimulationError, match="q must be in"):
+            percentiles([1.0, 2.0], (50, q))
 
 
 class TestSummarize:
