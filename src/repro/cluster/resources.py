@@ -117,6 +117,11 @@ class ResourceVector:
         vector._data = _checked(data)
         return vector
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild through the checked
+        # constructor, so a copy's array is read-only as well.
+        return (ResourceVector, tuple(self._data.tolist()))
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for ResourceVector algebra (the substrate of Table III)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,3 +155,22 @@ class TestEqualityHash:
     def test_as_mapping_roundtrip(self):
         v = ResourceVector(0.5, 6.0, 70.0, 25.0)
         assert ResourceVector.from_mapping(v.as_mapping()) == v
+
+
+class TestCopies:
+    """A copied vector is as immutable as the original: its array stays
+    read-only, so its hash cannot move under it."""
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copy_is_read_only_equal_and_same_hash(self, copier):
+        v = ResourceVector(1.0, 2.0, 3.0, 4.0)
+        c = copier(v)
+        assert c is not v
+        assert not c.as_array().flags.writeable
+        with pytest.raises(ValueError):
+            c.as_array()[0] = 9.0
+        assert c == v and hash(c) == hash(v)
