@@ -9,9 +9,9 @@ NumPy arrays and return the same shape.
 Conventions
 -----------
 time
-    seconds (``float``); helpers: :func:`ms`, :func:`us`, :func:`hours`.
+    seconds (``float``); helper: :func:`ms`.
 data
-    megabytes (``float``); helpers: :func:`kb`, :func:`mb`, :func:`gb`.
+    megabytes (``float``); helpers: :func:`mb`, :func:`gb`.
 rates
     requests/second, megabytes/second.
 """
@@ -19,31 +19,12 @@ rates
 from __future__ import annotations
 
 MS_PER_S = 1_000.0
-US_PER_S = 1_000_000.0
-S_PER_HOUR = 3_600.0
-
-MB_PER_KB = 1.0 / 1024.0
 MB_PER_GB = 1024.0
 
 
 def ms(value):
     """Convert milliseconds to seconds (``ms(10)`` → ``0.01``)."""
     return value / MS_PER_S
-
-
-def us(value):
-    """Convert microseconds to seconds."""
-    return value / US_PER_S
-
-
-def hours(value):
-    """Convert hours to seconds."""
-    return value * S_PER_HOUR
-
-
-def kb(value):
-    """Convert kilobytes to megabytes."""
-    return value * MB_PER_KB
 
 
 def mb(value):

@@ -10,20 +10,8 @@ def test_ms_to_seconds():
     assert units.ms(250.0) == pytest.approx(0.25)
 
 
-def test_us_to_seconds():
-    assert units.us(17.0) == pytest.approx(17e-6)
-
-
-def test_hours_to_seconds():
-    assert units.hours(1) == 3600.0
-
-
 def test_gb_to_mb():
     assert units.gb(3.5) == pytest.approx(3584.0)
-
-
-def test_kb_to_mb():
-    assert units.kb(1024) == pytest.approx(1.0)
 
 
 def test_mb_identity():
