@@ -13,7 +13,7 @@ actually observed latency — the convention tail-latency papers use.
 This module is the **shared metric kernel**: every reported percentile
 in the package must go through :func:`percentile` (or
 :func:`percentiles`, or :func:`summarize`, which reads its three from
-one partition of the sample) so that all drivers, benchmarks and
+one partition of the sample) so that all commands, benchmarks and
 examples agree on the convention.  The only sanctioned raw
 ``np.percentile`` calls outside this module live in
 :mod:`repro.monitoring.streaming` (which documents its own estimator)
