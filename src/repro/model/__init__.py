@@ -30,7 +30,7 @@ from repro.model.queueing import (
     mg1_waiting_time,
     utilisation,
 )
-from repro.model.regression import PolynomialRegressor, Regressor
+from repro.model.regression import PolynomialRegressor
 from repro.model.service_latency import overall_latency, stage_latencies
 from repro.model.training import (
     TrainingSet,
@@ -40,7 +40,6 @@ from repro.model.training import (
 )
 
 __all__ = [
-    "Regressor",
     "PolynomialRegressor",
     "CombinedServiceTimeModel",
     "mg1_latency",

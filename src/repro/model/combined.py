@@ -7,17 +7,35 @@ c's service time", which we realise as the absolute Pearson correlation
 on the training set.  Prediction is the weight-normalised combination::
 
     RG_ST(U) = (Σ_sr w_sr · RG_sr(U_sr)) / (Σ_sr w_sr)          (Eq. 1)
+
+The control loop evaluates Eq. 1 dozens of times a decision, mostly on
+batches of tens of rows, so ``fit`` packs what prediction reads into
+tables in :data:`~repro.cluster.resources.RESOURCE_KINDS` order: the
+four standardisation means and scales as ``(4, 1)`` columns, the
+``(4, 3)`` table of quadratic coefficients, and the resources whose
+weight is not zero.  ``predict`` standardises a transposed ``(4, n)``
+copy of the contention, then for each weighted resource fills one reused
+C-contiguous ``(n, 3)`` design ``[1, z, z·z]``, takes ``design @ coef``
+and adds ``w · …`` into the sum in resource order.  The result is bit
+for bit ``max(Σ_r w_r · RG_r(u[:, r]) / Σ_r w_r, 1e-9)`` over the
+fitted :class:`~repro.model.regression.PolynomialRegressor` s: every
+element sees the operations of :meth:`PolynomialRegressor.predict` in
+the same order, and each resource takes the same matmul on the same
+C-contiguous ``(n, 3)`` design that ``np.vander`` builds there, so BLAS
+runs the same gemv and a one-row batch still takes NumPy's dot path.
+Evaluating the polynomial elementwise, or through one stacked
+``(4, n, 3)`` matmul, would round differently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.cluster.resources import RESOURCE_KINDS, ResourceKind, ResourceVector
 from repro.errors import ModelError, NotFittedError
-from repro.model.regression import PolynomialRegressor, Regressor
+from repro.model.regression import PolynomialRegressor
 
 __all__ = ["CombinedServiceTimeModel"]
 
@@ -30,20 +48,12 @@ def _pearson_abs(u: np.ndarray, x: np.ndarray) -> float:
 
 
 class CombinedServiceTimeModel:
-    """Eq. 1: relevance-weighted combination of four per-resource models.
+    """Eq. 1: relevance-weighted combination of four degree-2
+    :class:`~repro.model.regression.PolynomialRegressor` s, one per
+    resource."""
 
-    Parameters
-    ----------
-    regressor_factory:
-        Callable producing a fresh :class:`Regressor` per resource;
-        defaults to degree-2 :class:`PolynomialRegressor`.
-    """
-
-    def __init__(
-        self, regressor_factory: Optional[Callable[[], Regressor]] = None
-    ) -> None:
-        self._factory = regressor_factory or (lambda: PolynomialRegressor(degree=2))
-        self.regressors: Dict[ResourceKind, Regressor] = {}
+    def __init__(self) -> None:
+        self.regressors: Dict[ResourceKind, PolynomialRegressor] = {}
         self.weights: Dict[ResourceKind, float] = {}
         self.n_samples = 0
 
@@ -68,13 +78,11 @@ class CombinedServiceTimeModel:
             )
         if np.any(x <= 0):
             raise ModelError("service times must be positive")
-        regressors: Dict[ResourceKind, Regressor] = {}
+        regressors: Dict[ResourceKind, PolynomialRegressor] = {}
         weights: Dict[ResourceKind, float] = {}
         for kind in RESOURCE_KINDS:
             col = u[:, kind.index]
-            reg = self._factory()
-            reg.fit(col, x)
-            regressors[kind] = reg
+            regressors[kind] = PolynomialRegressor(degree=2).fit(col, x)
             weights[kind] = _pearson_abs(col, x)
         if all(w == 0.0 for w in weights.values()):
             # Degenerate profiling run (no contention varied at all):
@@ -83,6 +91,14 @@ class CombinedServiceTimeModel:
         self.regressors = regressors
         self.weights = weights
         self.n_samples = int(x.size)
+        regs = [regressors[kind] for kind in RESOURCE_KINDS]
+        self._u_mean = np.array([[reg.u_mean] for reg in regs])
+        self._u_scale = np.array([[reg.u_scale] for reg in regs])
+        self._coef = np.array([reg.coef for reg in regs])
+        self._terms = [
+            (kind.index, w) for kind, w in weights.items() if w != 0.0
+        ]
+        self._total_weight = sum(weights.values())
         return self
 
     # ------------------------------------------------------------------
@@ -100,14 +116,16 @@ class CombinedServiceTimeModel:
         u = np.asarray(contention, dtype=np.float64)
         if u.ndim != 2 or u.shape[1] != len(RESOURCE_KINDS):
             raise ModelError(f"contention must be (n, 4), got {u.shape}")
-        total_weight = sum(self.weights.values())
+        z = u.T - self._u_mean
+        z /= self._u_scale
+        design = np.empty((u.shape[0], 3))
+        design[:, 0] = 1.0
         acc = np.zeros(u.shape[0])
-        for kind in RESOURCE_KINDS:
-            w = self.weights[kind]
-            if w == 0.0:
-                continue
-            acc += w * self.regressors[kind].predict(u[:, kind.index])
-        return np.maximum(acc / total_weight, 1e-9)
+        for r, w in self._terms:
+            design[:, 1] = z[r]
+            np.multiply(z[r], z[r], out=design[:, 2])
+            acc += w * (design @ self._coef[r])
+        return np.maximum(acc / self._total_weight, 1e-9)
 
     def predict_one(self, contention: ResourceVector) -> float:
         """Scalar convenience wrapper over :meth:`predict`."""

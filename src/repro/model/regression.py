@@ -15,34 +15,16 @@ model"); we use ridge-regularised polynomial least squares, which
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 from repro.errors import ModelError, NotFittedError
 
-__all__ = ["Regressor", "PolynomialRegressor"]
+__all__ = ["PolynomialRegressor"]
 
 
-class Regressor(ABC):
-    """A one-dimensional regression model ``x = RG(u)``."""
-
-    @abstractmethod
-    def fit(self, u: np.ndarray, x: np.ndarray) -> "Regressor":
-        """Fit on training pairs; returns self for chaining."""
-
-    @abstractmethod
-    def predict(self, u) -> np.ndarray:
-        """Predict service times for contention values ``u``."""
-
-    @property
-    @abstractmethod
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has succeeded."""
-
-
-class PolynomialRegressor(Regressor):
-    """Ridge-regularised polynomial least squares in one variable.
+class PolynomialRegressor:
+    """Ridge-regularised polynomial least squares in one variable,
+    ``x = RG(u)``.
 
     Parameters
     ----------
@@ -57,7 +39,9 @@ class PolynomialRegressor(Regressor):
     -----
     Features are standardised internally (zero mean, unit variance) so
     the ridge penalty is scale-free: core usage lives in [0, 1] while
-    disk bandwidth lives in [0, 300] MB/s.
+    disk bandwidth lives in [0, 300] MB/s.  ``fit`` sets ``u_mean`` and
+    ``u_scale``; the design row of ``u`` is the Vandermonde row of
+    ``z = (u - u_mean) / u_scale``, constant term first.
     """
 
     def __init__(self, degree: int = 2, ridge: float = 1e-8) -> None:
@@ -68,12 +52,13 @@ class PolynomialRegressor(Regressor):
         self.degree = int(degree)
         self.ridge = float(ridge)
         self._coef: np.ndarray | None = None
-        self._u_mean = 0.0
-        self._u_scale = 1.0
+        self.u_mean = 0.0
+        self.u_scale = 1.0
         self.n_samples = 0
 
     @property
     def is_fitted(self) -> bool:
+        """Whether :meth:`fit` has succeeded."""
         return self._coef is not None
 
     @property
@@ -84,7 +69,7 @@ class PolynomialRegressor(Regressor):
         return self._coef.copy()
 
     def _design(self, u: np.ndarray) -> np.ndarray:
-        z = (u - self._u_mean) / self._u_scale
+        z = (u - self.u_mean) / self.u_scale
         return np.vander(z, self.degree + 1, increasing=True)
 
     def fit(self, u, x) -> "PolynomialRegressor":
@@ -99,9 +84,9 @@ class PolynomialRegressor(Regressor):
             )
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(x))):
             raise ModelError("training data must be finite")
-        self._u_mean = float(u.mean())
+        self.u_mean = float(u.mean())
         scale = float(u.std())
-        self._u_scale = scale if scale > 0 else 1.0
+        self.u_scale = scale if scale > 0 else 1.0
         design = self._design(u)
         # Ridge via augmented normal equations: penalise everything but
         # the intercept.
@@ -115,6 +100,12 @@ class PolynomialRegressor(Regressor):
         return self
 
     def predict(self, u) -> np.ndarray:
+        """Predict service times for contention values ``u`` (any shape).
+
+        The one-resource reference the packed Eq. 1 kernel of
+        :class:`~repro.model.combined.CombinedServiceTimeModel` is
+        tested against, bit for bit.
+        """
         if self._coef is None:
             raise NotFittedError("regressor has not been fitted")
         arr = np.asarray(u, dtype=np.float64)

@@ -113,10 +113,9 @@ class TrainingSet:
 
 def train_combined_model(
     training: TrainingSet,
-    regressor_factory=None,
 ) -> Tuple[CombinedServiceTimeModel, float]:
     """Fit the Eq. 1 model; returns ``(model, scv estimate)``."""
-    model = CombinedServiceTimeModel(regressor_factory=regressor_factory)
+    model = CombinedServiceTimeModel()
     model.fit(training.contention, training.service_times)
     return model, training.scv
 
