@@ -221,26 +221,41 @@ class LatencyAccumulator:
         self._n = total
 
     def add(self, xs) -> None:
-        """Fold a batch of latencies in.
+        """Fold a batch of latencies in (``add_parts`` of one part)."""
+        self.add_parts((xs,))
 
-        Exact mode stores the array verbatim (empty arrays included, so
-        the pool's all-empty diagnostics match the historical path);
-        streaming mode folds it into the constant-memory state.
+    def add_parts(self, parts) -> None:
+        """Fold several batches of latencies in, in order.
+
+        Exact mode stores each array verbatim (empty arrays included,
+        so the pool's all-empty diagnostics match the historical path).
+        Streaming mode counts every part, empty ones too, as a batch,
+        checks the parts together, folds each non-empty part's own mean
+        into the running mean in order, and feeds the concatenation to
+        the reservoir in one pass.  The result equals calling
+        :meth:`add` on each part in turn: one priority draw over the
+        concatenation consumes the same stream as one draw per part,
+        and the bottom-k of a union keeps the same set.  A negative or
+        non-finite latency raises before any part reaches the mean, the
+        maximum or the reservoir.
         """
-        arr = np.asarray(xs, dtype=np.float64).ravel()
+        arrs = [np.asarray(xs, dtype=np.float64).ravel() for xs in parts]
         if self.mode == "exact":
-            self._parts.append(arr)
+            self._parts.extend(arrs)
             return
-        self._batches += 1
-        if arr.size == 0:
+        self._batches += len(arrs)
+        arrs = [arr for arr in arrs if arr.size]
+        if not arrs:
             return
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        joined = np.concatenate(arrs)
+        if np.any(joined < 0) or not np.all(np.isfinite(joined)):
             raise EstimatorError(
                 "latencies must be finite and non-negative"
             )
-        self._fold_mean(int(arr.size), float(arr.mean()))
-        self._max = max(self._max, float(arr.max()))
-        self._reservoir.add(arr)
+        for arr in arrs:
+            self._fold_mean(int(arr.size), float(arr.mean()))
+        self._max = max(self._max, float(joined.max()))
+        self._reservoir.add(joined)
 
     def merge(self, other: "LatencyAccumulator") -> "LatencyAccumulator":
         """Fold another accumulator in (associative).
@@ -352,9 +367,9 @@ class IntervalAccumulatorSet:
     ) -> None:
         """Fold one simulated chunk in and let its arrays die."""
         self.overall.add(overall)
-        for parts in component_sojourns.values():
-            for part in parts:
-                self.component_pool.add(part)
+        self.component_pool.add_parts(
+            [part for parts in component_sojourns.values() for part in parts]
+        )
         if self.per_class is not None and class_of is not None:
             assert class_names is not None
             for c, name in enumerate(class_names):

@@ -281,6 +281,44 @@ def check_reservoir_deterministic(values, seed):
     assert np.array_equal(s1._priorities, s2._priorities)
 
 
+def check_add_parts_equals_add_per_part(mode, prefix, parts, seed, capacity):
+    """One ``add_parts`` pass leaves the state ``add`` per part leaves:
+    n, the mean's bytes, max, batch count, the kept (priority, value)
+    pairs and the priority stream's position."""
+
+    def build():
+        rng = np.random.default_rng(seed)
+        acc = LatencyAccumulator(
+            mode,
+            rng=rng if mode == "streaming" else None,
+            reservoir_size=capacity,
+        )
+        acc.add(prefix)
+        return acc, rng
+
+    (one, one_rng), (per, per_rng) = build(), build()
+    one.add_parts(parts)
+    for part in parts:
+        per.add(part)
+    assert (one.n, one.n_batches) == (per.n, per.n_batches)
+    assert one.n_batches == 1 + len(parts)
+    assert one_rng.bit_generator.state == per_rng.bit_generator.state
+    if mode == "exact":
+        assert [a.tobytes() for a in one._parts] == [
+            a.tobytes() for a in per._parts
+        ]
+        return
+    if one.n:
+        assert np.float64(one.mean).tobytes() == np.float64(per.mean).tobytes()
+        assert one.summary() == per.summary()
+
+    def kept(acc):
+        res = acc._reservoir
+        return sorted(zip(res._priorities.tolist(), res.values.tolist()))
+
+    assert kept(one) == kept(per)
+
+
 def _bounds(rng_draw, n, k):
     """Sorted split points 0..n from k draws."""
     cuts = sorted(rng_draw(0, n) for _ in range(k))
@@ -331,6 +369,24 @@ if HAVE_HYPOTHESIS:
             )
             check_merge_associative(values, seed, bounds)
 
+        @given(
+            st.sampled_from(["streaming", "exact"]),
+            st.lists(st.floats(0.0, 1e6, allow_nan=False), max_size=100),
+            st.lists(
+                st.lists(st.floats(0.0, 1e6, allow_nan=False), max_size=120),
+                max_size=12,
+            ),
+            seeds,
+            st.integers(min_value=1, max_value=64),
+        )
+        @settings(max_examples=200, deadline=None)
+        def test_add_parts_equals_add_per_part(
+            self, mode, prefix, parts, seed, capacity
+        ):
+            check_add_parts_equals_add_per_part(
+                mode, prefix, parts, seed, capacity
+            )
+
         @given(latencies, seeds)
         @settings(max_examples=30, deadline=None)
         def test_reservoir_deterministic(self, values, seed):
@@ -378,6 +434,16 @@ class TestStdlibFallbackProperties:
         _, values = self._case(seed)
         check_reservoir_deterministic(values, seed)
 
+    def test_add_parts_equals_add_per_part(self, seed):
+        rng, values = self._case(seed)
+        cuts = _bounds(rng.randint, len(values), rng.randint(0, 9))
+        parts = [values[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        for mode in ("streaming", "exact"):
+            check_add_parts_equals_add_per_part(
+                mode, values[: rng.randint(0, 40)], parts, seed,
+                rng.randint(1, 64),
+            )
+
 
 # ----------------------------------------------------------------------
 # misuse surfaces (all EstimatorError, never silent corruption)
@@ -424,6 +490,15 @@ class TestMisuse:
         acc = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
         with pytest.raises(EstimatorError):
             acc.add([np.nan])
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_bad_part_rejected_before_any_fold(self, bad):
+        acc = LatencyAccumulator("streaming", rng=np.random.default_rng(0))
+        with pytest.raises(EstimatorError):
+            acc.add_parts([[1.0, 2.0], [], [3.0, bad], [4.0]])
+        assert acc.n == 0
+        with pytest.raises(EstimatorError):
+            acc.summary()
 
 
 # ----------------------------------------------------------------------
