@@ -28,8 +28,9 @@ def ms(value):
 
 
 def mb(value):
-    """Identity helper so call sites can write ``mb(500)`` explicitly."""
-    return float(value)
+    """Identity helper so call sites can write ``mb(500)`` explicitly
+    (``mb(500)`` → ``500.0``)."""
+    return value * 1.0
 
 
 def gb(value):

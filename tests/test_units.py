@@ -24,6 +24,14 @@ def test_vectorised_over_arrays():
     np.testing.assert_allclose(units.gb(xs), xs * 1024.0)
 
 
+def test_mb_keeps_the_input_shape():
+    assert type(units.mb(500)) is float
+    grid = np.array([[1, 2], [3, 4]])
+    out = units.mb(grid)
+    assert out.shape == (2, 2) and out.dtype == np.float64
+    assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_ms_of_5_is_paper_threshold():
     # The paper's migration threshold: eps = 5 ms.
     assert units.ms(5) == pytest.approx(0.005)
