@@ -9,7 +9,7 @@ drives the whole advertised lifecycle over HTTP:
 2. poll ``/metrics`` until the Prometheus latency gauges appear;
 3. POST a background sweep to ``/sweeps`` and drain it to ``done``;
 4. POST ``/shutdown`` and require a clean exit (code 0, no orphan
-   process left behind).
+   process left behind, no ``Traceback`` anywhere in the server log).
 
 Exits non-zero (with the captured server log) on any missed step, so
 the tier-2 CI job fails loudly.  Stdlib only.
@@ -84,6 +84,7 @@ def main() -> int:
         stderr=subprocess.STDOUT,
         text=True,
     )
+    log = ""
     try:
         announce = proc.stdout.readline()
         print("serve:", announce.strip())
@@ -144,17 +145,20 @@ def main() -> int:
         code = proc.wait(timeout=SHUTDOWN_TIMEOUT_S)
         if code != 0:
             raise SystemExit(f"FAIL: serve exited {code}")
-        print("ok: clean shutdown (exit 0, no orphans)")
+        log = proc.stdout.read()
+        if "Traceback" in log:
+            raise SystemExit("FAIL: the serve log holds a traceback")
+        print("ok: clean shutdown (exit 0, no orphans, no traceback)")
         return 0
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
             print("WARN: serve process had to be killed", file=sys.stderr)
-        tail = proc.stdout.read()
-        if tail:
+        log += proc.stdout.read()
+        if log:
             print("--- serve log tail ---")
-            print(tail)
+            print(log)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ControlPlaneError
 
@@ -182,14 +182,22 @@ def _route(plane, method: str, path: str, body: bytes) -> bytes:
 
 
 async def start_http_server(
-    plane, host: str, port: int
+    plane, host: str, port: int, in_flight: Set[asyncio.Task]
 ) -> asyncio.base_events.Server:
     """Bind the control surface and return the (not yet awaited)
-    server; the caller owns its lifetime."""
+    server; the caller owns its lifetime.
+
+    Each connection's handler task is in ``in_flight`` until it has
+    closed its connection, so the caller can let handlers finish after
+    closing the server.
+    """
 
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        in_flight.add(task)
+        task.add_done_callback(in_flight.discard)
         try:
             parsed = await _read_request(reader)
             if parsed is None:

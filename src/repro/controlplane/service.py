@@ -24,7 +24,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError, ControlPlaneError
 
@@ -34,6 +34,10 @@ __all__ = [
     "SweepManager",
     "SweepCancelled",
 ]
+
+#: How long a stopping service waits for HTTP handlers still answering
+#: or closing their connections (seconds).
+HANDLER_DRAIN_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -439,7 +443,10 @@ class LiveControlPlane:
         from repro.controlplane.http import start_http_server
 
         self._shutdown = asyncio.Event()
-        server = await start_http_server(self, self.config.host, self.config.port)
+        in_flight: Set[asyncio.Task] = set()
+        server = await start_http_server(
+            self, self.config.host, self.config.port, in_flight
+        )
         self.bound_port = server.sockets[0].getsockname()[1]
         self.ready.set()
         if self._announce is not None:
@@ -453,6 +460,13 @@ class LiveControlPlane:
         try:
             async with server:
                 await self._session()
+            # On Python 3.11 the server's close returns without waiting
+            # for its connections, and asyncio.run cancels whatever is
+            # left: a handler still closing its connection (the
+            # /shutdown answer itself) would die mid-close and the
+            # stream protocol would log the cancellation as an error.
+            if in_flight:
+                await asyncio.wait(set(in_flight), timeout=HANDLER_DRAIN_S)
         finally:
             self.ready.clear()
             self.sweeps.stop_all()

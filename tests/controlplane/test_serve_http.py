@@ -3,10 +3,12 @@ full in-process boot → poll → sweep → shutdown session."""
 
 import asyncio
 import json
+import logging
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
@@ -195,8 +197,8 @@ class TestLiveSession:
         n_nodes=6,
     )
 
-    def _boot(self):
-        plane = LiveControlPlane(self.CONFIG)
+    def _boot(self, config=CONFIG):
+        plane = LiveControlPlane(config)
         thread = threading.Thread(
             target=lambda: asyncio.run(plane.run()), daemon=True
         )
@@ -215,7 +217,8 @@ class TestLiveSession:
         with urllib.request.urlopen(req, timeout=10) as resp:
             return resp.read().decode()
 
-    def test_boot_poll_decide_shutdown(self):
+    def test_boot_poll_decide_shutdown(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
         plane, thread = self._boot()
         try:
             deadline = time.monotonic() + 90
@@ -236,3 +239,28 @@ class TestLiveSession:
             thread.join(30)
         assert not thread.is_alive()
         assert plane.status in ("stopped", "drained")
+        assert _asyncio_errors(caplog) == []
+
+    def test_drained_session_shuts_down_cleanly(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        plane, thread = self._boot(replace(self.CONFIG, max_windows=3))
+        try:
+            deadline = time.monotonic() + 90
+            while time.monotonic() < deadline:
+                if json.loads(self._get(plane, "/status"))["status"] in (
+                    "drained", "failed",
+                ):
+                    break
+                time.sleep(0.05)
+        finally:
+            self._post(plane, "/shutdown")
+            thread.join(30)
+        assert not thread.is_alive()
+        assert plane.status == "drained"
+        assert _asyncio_errors(caplog) == []
+
+
+def _asyncio_errors(caplog):
+    """What the event loop logged: a handler task cancelled while it
+    closed its connection shows up here as "Exception in callback"."""
+    return [r.getMessage() for r in caplog.records if r.name == "asyncio"]
