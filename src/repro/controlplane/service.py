@@ -382,6 +382,7 @@ class LiveControlPlane:
         self.bound_port: Optional[int] = None
         self.error: Optional[str] = None
         self._shutdown: Optional[asyncio.Event] = None
+        self._event_loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -443,6 +444,7 @@ class LiveControlPlane:
         from repro.controlplane.http import start_http_server
 
         self._shutdown = asyncio.Event()
+        self._event_loop = asyncio.get_running_loop()
         in_flight: Set[asyncio.Task] = set()
         server = await start_http_server(
             self, self.config.host, self.config.port, in_flight
@@ -530,9 +532,14 @@ class LiveControlPlane:
             self.loop.compute_window(window)
 
     def request_shutdown(self) -> None:
-        """Thread-safe shutdown trigger (the POST /shutdown handler)."""
+        """Thread-safe shutdown trigger (the POST /shutdown handler,
+        which runs in a worker thread).
+
+        An :class:`asyncio.Event` may only be set on its own event
+        loop, so the set is handed to that loop.
+        """
         if self._shutdown is not None:
-            self._shutdown.set()
+            self._event_loop.call_soon_threadsafe(self._shutdown.set)
 
     def switch_policy(self, policy_name: str) -> Dict[str, object]:
         """Swap the live loop's routing policy (the POST /policy

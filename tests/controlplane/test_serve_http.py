@@ -199,8 +199,9 @@ class TestLiveSession:
 
     def _boot(self, config=CONFIG):
         plane = LiveControlPlane(config)
+        # asyncio's debug mode rejects loop calls from other threads.
         thread = threading.Thread(
-            target=lambda: asyncio.run(plane.run()), daemon=True
+            target=lambda: asyncio.run(plane.run(), debug=True), daemon=True
         )
         thread.start()
         assert plane.ready.wait(30), "HTTP surface never bound"
