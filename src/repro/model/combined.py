@@ -23,8 +23,7 @@ element sees the operations of :meth:`PolynomialRegressor.predict` in
 the same order, and each resource takes the same matmul on the same
 C-contiguous ``(n, 3)`` design that ``np.vander`` builds there, so BLAS
 runs the same gemv and a one-row batch still takes NumPy's dot path.
-Evaluating the polynomial elementwise, or through one stacked
-``(4, n, 3)`` matmul, would round differently.
+Evaluating the polynomial elementwise would round differently.
 """
 
 from __future__ import annotations
