@@ -19,12 +19,13 @@ callback), optionally routed through the distributed spool backend.
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError, ControlPlaneError
 
@@ -356,6 +357,64 @@ class SweepManager:
             return [job.summary() for job in self._jobs.values()]
 
 
+class _FifoLock:
+    """A mutex that a release hands to the oldest waiter.
+
+    ``threading.Lock`` wakes a waiter on release but grants the lock to
+    whichever thread asks first, so a thread that releases and soon asks
+    again can take it ahead of a waiter that has been blocked all along.
+    Here a release passes the lock straight to the first thread in line
+    and a new request queues behind everyone already waiting.  A waiter
+    whose wait raises (a signal handler's exception) leaves the line;
+    if the lock had already been handed to it, it hands the lock on.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        #: One locked turn per waiter, oldest first; releasing a turn
+        #: grants that waiter the lock.
+        self._waiters: Deque[threading.Lock] = collections.deque()
+        self._held = False
+
+    def acquire(self) -> None:
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        try:
+            turn.acquire()
+        except BaseException:
+            with self._mutex:
+                if turn in self._waiters:
+                    self._waiters.remove(turn)
+                else:
+                    self._hand_over()
+            raise
+
+    def release(self) -> None:
+        with self._mutex:
+            if not self._held:
+                raise RuntimeError("release of an unlocked _FifoLock")
+            self._hand_over()
+
+    def _hand_over(self) -> None:
+        # Under _mutex.  A hand-over keeps _held set: the lock passes
+        # from the releaser to the waiter without ever being free.
+        if self._waiters:
+            self._waiters.popleft().release()
+        else:
+            self._held = False
+
+    def __enter__(self) -> None:
+        self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
 class LiveControlPlane:
     """One ``repro serve`` session: seeded world, wall clock, control
     loop, HTTP surface, background sweeps.
@@ -363,7 +422,16 @@ class LiveControlPlane:
     The blocking parts (world setup, per-window compute) run in worker
     threads via ``asyncio.to_thread``; the event loop only paces
     windows and serves HTTP.  All cross-thread reads of loop state go
-    through :attr:`_lock`.
+    through :attr:`_lock`, the same lock each window's compute holds.
+
+    That lock serves readers and windows in arrival order
+    (:class:`_FifoLock`).  When windows run back to back, the next
+    window's compute asks for the lock moments after the last one let
+    it go; a plain lock would often grant it again before a ``/status``,
+    ``/metrics`` or ``POST /policy`` request that waited out the whole
+    window, and such a request could then wait several windows.  In
+    arrival order, a request made during window *w* is answered before
+    window *w* + 1 starts.
     """
 
     def __init__(
@@ -373,7 +441,7 @@ class LiveControlPlane:
     ) -> None:
         self.config = config
         self._announce = announce
-        self._lock = threading.Lock()
+        self._lock = _FifoLock()
         self.status = "starting"
         self.loop = None  # ControlLoop once built
         self.sweeps = SweepManager(spool=config.spool)
