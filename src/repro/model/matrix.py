@@ -212,11 +212,16 @@ class MatrixInputs:
                 raise ModelError("group_of must be (m,)")
             if np.any(np.diff(self.group_of) < 0):
                 raise ModelError("group_of must be non-decreasing")
-            # Every group must live inside a single stage.
-            for g in np.unique(self.group_of):
+            # Every group must live inside a single stage.  Both arrays
+            # are non-decreasing, so a group spans stages exactly when
+            # two neighbours share the group but not the stage.
+            split = (self.group_of[1:] == self.group_of[:-1]) & (
+                self.stage_of[1:] != self.stage_of[:-1]
+            )
+            if split.any():
+                g = self.group_of[int(np.argmax(split))]
                 stages = np.unique(self.stage_of[self.group_of == g])
-                if stages.size != 1:
-                    raise ModelError(f"group {g} spans stages {stages}")
+                raise ModelError(f"group {g} spans stages {stages}")
         if self.stage_predecessors is not None:
             # The one shared DAG validator (service_latency), so the
             # invariant cannot drift between the matrix and the

@@ -6,6 +6,8 @@ reference build, elementwise, on randomised instances.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError, SchedulingError, UnstableQueueError
 from repro.model.matrix import MatrixInputs, PerformanceMatrix
@@ -147,6 +149,31 @@ def _spanning_groups(inputs):
         for g in np.unique(inputs.group_of)
         if np.unique(inputs.assignment[inputs.group_of == g]).size > 1
     }
+
+
+def _layout_inputs(stage_of, group_of):
+    """Minimal inputs with the given stage and replica-group layout."""
+    m = len(stage_of)
+    return MatrixInputs(
+        stage_of=np.asarray(stage_of),
+        classes=[ComponentClass.GENERIC] * m,
+        demands=np.zeros((m, 4)),
+        assignment=np.zeros(m, dtype=int),
+        node_totals=np.ones((1, 4)),
+        arrival_rates=np.ones(m),
+        group_of=np.asarray(group_of),
+    )
+
+
+def _per_group_stage_check(stage_of, group_of):
+    """The per-group loop ``MatrixInputs`` ran before the one-pass
+    check: the error message, or None when every group has one stage."""
+    stage_of, group_of = np.asarray(stage_of), np.asarray(group_of)
+    for g in np.unique(group_of):
+        stages = np.unique(stage_of[group_of == g])
+        if stages.size != 1:
+            return f"group {g} spans stages {stages}"
+    return None
 
 
 @pytest.fixture
@@ -429,6 +456,40 @@ class TestInputValidation:
                 good.node_totals,
                 good.arrival_rates,
             )
+
+    def test_group_spanning_stages_is_named(self):
+        with pytest.raises(ModelError) as excinfo:
+            _layout_inputs([0, 0, 1, 1, 2], [0, 1, 1, 2, 3])
+        assert str(excinfo.value) == "group 1 spans stages [0 1]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 5)),
+            min_size=1,
+            max_size=40,
+        ),
+        nested=st.booleans(),
+    )
+    def test_stage_check_matches_the_per_group_loop(self, pairs, nested):
+        """The one-pass neighbour check raises exactly when, and with the
+        message, the per-group ``np.unique`` loop it replaced did."""
+        stage_of = np.sort([s for s, _ in pairs])
+        group_of = np.sort([g for _, g in pairs])
+        if nested:
+            # Number the (stage, group) pairs: a layout that passes.
+            group_of = np.unique(
+                stage_of * 100 + group_of, return_inverse=True
+            )[1]
+        try:
+            _layout_inputs(stage_of, group_of)
+        except ModelError as exc:
+            message = str(exc)
+        else:
+            message = None
+        assert message == _per_group_stage_check(stage_of, group_of)
+        if nested:
+            assert message is None
 
     def test_copy_independent(self, rng):
         a = _random_inputs(rng)
