@@ -1,20 +1,26 @@
 #!/usr/bin/env python
 """CI smoke for the live control plane (`repro serve`).
 
-Boots the service as a real subprocess on an ephemeral port, then
-drives the whole advertised lifecycle over HTTP:
+Boots the service as a real subprocess on an ephemeral port, twice.
+The first, paced leg drives the whole advertised lifecycle over HTTP:
 
 1. poll ``/status`` until the world is warm and at least one live PCS
    decision has fired under the burst trace;
 2. poll ``/metrics`` until the Prometheus latency gauges appear;
-3. POST a background sweep to ``/sweeps`` and drain it to ``done``;
-4. POST ``/shutdown`` and require a clean exit (code 0, no orphan
-   process left behind, no ``Traceback`` anywhere in the server log).
+3. POST a background sweep to ``/sweeps`` and drain it to ``done``.
 
-Exits non-zero (with the captured server log) on any missed step, so
-the tier-2 CI job fails loudly.  Stdlib only.
+The second leg runs perfbench's ``serve-burst`` session: windows back
+to back (dilation 10^6) until ``--max-windows`` drains the session.  It
+polls ``/status`` closed-loop until ``drained`` and prints how many
+windows each GET advanced (not gated: runner timing varies).
+
+Each leg ends by POSTing ``/shutdown`` and requires a clean exit (code
+0, no orphan process left behind, no ``Traceback`` anywhere in the
+server log).  Exits non-zero (with the captured server log) on any
+missed step, so the tier-2 CI job fails loudly.  Stdlib only.
 """
 
+import collections
 import json
 import re
 import subprocess
@@ -38,6 +44,20 @@ SERVE_ARGS = [
     "--profiling-conditions", "6",
     "--shape-scale", "0.2",
     "--nodes", "6",
+    "--port", "0",
+]
+
+#: perfbench's ``serve-burst`` session: windows back to back, then drained.
+BURST_ARGS = [
+    sys.executable, "-m", "repro", "serve",
+    "--scenario", "fanout-feed",
+    "--policy", "PCS",
+    "--trace-profile", "burst",
+    "--rate", "40",
+    "--window-s", "8",
+    "--retrain-every", "4",
+    "--dilation", "1000000",
+    "--max-windows", "24",
     "--port", "0",
 ]
 
@@ -77,9 +97,87 @@ def wait_for(label, deadline_s, predicate):
     raise SystemExit(f"FAIL: timed out waiting for {label}")
 
 
-def main() -> int:
+def lifecycle(base):
+    """The paced leg: decide, scrape the gauges, drain a sweep."""
+
+    def warm():
+        status = json.loads(get(base, "/status"))
+        loop = status.get("loop") or {}
+        if status["status"] == "failed":
+            raise SystemExit(f"FAIL: serve failed: {status.get('error')}")
+        if loop.get("n_decisions", 0) >= 1 and loop.get("n_requests", 0) > 0:
+            return status
+        return None
+
+    status = wait_for(
+        "live loop running with >= 1 PCS decision",
+        max(BOOT_TIMEOUT_S, DECISION_TIMEOUT_S), warm,
+    )
+    print(
+        "  windows={windows_completed} decisions={n_decisions} "
+        "migrations={n_migrations}".format(**status["loop"])
+    )
+
+    def gauges():
+        metrics = get(base, "/metrics")
+        wanted = (
+            "pcs_window_p99_seconds", "pcs_window_mean_seconds",
+            "pcs_decisions_total",
+        )
+        return metrics if all(g in metrics for g in wanted) else None
+
+    wait_for("latency gauges on /metrics", 60.0, gauges)
+
+    scenarios = json.loads(get(base, "/scenarios"))["scenarios"]
+    assert any(s["name"] == "fanout-feed" for s in scenarios)
+    print(f"ok: /scenarios lists {len(scenarios)} scenarios")
+
+    job = json.loads(post(base, "/sweeps", SWEEP_REQUEST))
+    print(f"ok: sweep {job['id']} started ({job['total']} points)")
+
+    def drained():
+        jobs = json.loads(get(base, "/sweeps"))["sweeps"]
+        state = next(j for j in jobs if j["id"] == job["id"])
+        if state["status"] == "done":
+            return state
+        if state["status"] in ("failed", "stopped"):
+            raise SystemExit(f"FAIL: sweep ended {state}")
+        return None
+
+    state = wait_for("background sweep drained", SWEEP_TIMEOUT_S, drained)
+    for line in state["results"]:
+        print("  ", line)
+
+
+def back_to_back(base):
+    """The burst leg: poll /status with no pause until the session
+    drains, and print how many windows each answered GET advanced."""
+    deadline = time.monotonic() + max(BOOT_TIMEOUT_S, DECISION_TIMEOUT_S)
+    seen = []
+    while time.monotonic() < deadline:
+        status = json.loads(get(base, "/status"))
+        if status["status"] == "failed":
+            raise SystemExit(f"FAIL: serve failed: {status.get('error')}")
+        if "loop" in status:
+            seen.append(status["loop"]["windows_completed"])
+        if status["status"] == "drained":
+            break
+    else:
+        raise SystemExit("FAIL: timed out waiting for the session to drain")
+    print(f"ok: drained after {seen[-1]} windows")
+    advanced = collections.Counter(b - a for a, b in zip(seen, seen[1:]))
+    print(
+        f"  windows advanced per GET over {len(seen) - 1} GETs (not gated): "
+        + ", ".join(f"{k}: {advanced[k]}" for k in sorted(advanced))
+    )
+
+
+def run_leg(label, argv, drive):
+    """Boot ``repro serve`` with ``argv``, run ``drive`` against it, then
+    POST /shutdown and require a clean exit."""
+    print(f"== {label}")
     proc = subprocess.Popen(
-        SERVE_ARGS,
+        argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -92,55 +190,7 @@ def main() -> int:
         if not match:
             raise SystemExit(f"FAIL: no listening address in {announce!r}")
         base = f"http://127.0.0.1:{match.group(1)}"
-
-        def warm():
-            status = json.loads(get(base, "/status"))
-            loop = status.get("loop") or {}
-            if status["status"] == "failed":
-                raise SystemExit(f"FAIL: serve failed: {status.get('error')}")
-            if loop.get("n_decisions", 0) >= 1 and loop.get("n_requests", 0) > 0:
-                return status
-            return None
-
-        status = wait_for(
-            "live loop running with >= 1 PCS decision",
-            max(BOOT_TIMEOUT_S, DECISION_TIMEOUT_S), warm,
-        )
-        print(
-            "  windows={windows_completed} decisions={n_decisions} "
-            "migrations={n_migrations}".format(**status["loop"])
-        )
-
-        def gauges():
-            metrics = get(base, "/metrics")
-            wanted = (
-                "pcs_window_p99_seconds", "pcs_window_mean_seconds",
-                "pcs_decisions_total",
-            )
-            return metrics if all(g in metrics for g in wanted) else None
-
-        wait_for("latency gauges on /metrics", 60.0, gauges)
-
-        scenarios = json.loads(get(base, "/scenarios"))["scenarios"]
-        assert any(s["name"] == "fanout-feed" for s in scenarios)
-        print(f"ok: /scenarios lists {len(scenarios)} scenarios")
-
-        job = json.loads(post(base, "/sweeps", SWEEP_REQUEST))
-        print(f"ok: sweep {job['id']} started ({job['total']} points)")
-
-        def drained():
-            jobs = json.loads(get(base, "/sweeps"))["sweeps"]
-            state = next(j for j in jobs if j["id"] == job["id"])
-            if state["status"] == "done":
-                return state
-            if state["status"] in ("failed", "stopped"):
-                raise SystemExit(f"FAIL: sweep ended {state}")
-            return None
-
-        state = wait_for("background sweep drained", SWEEP_TIMEOUT_S, drained)
-        for line in state["results"]:
-            print("  ", line)
-
+        drive(base)
         print(post(base, "/shutdown").strip())
         code = proc.wait(timeout=SHUTDOWN_TIMEOUT_S)
         if code != 0:
@@ -149,7 +199,6 @@ def main() -> int:
         if "Traceback" in log:
             raise SystemExit("FAIL: the serve log holds a traceback")
         print("ok: clean shutdown (exit 0, no orphans, no traceback)")
-        return 0
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -159,6 +208,12 @@ def main() -> int:
         if log:
             print("--- serve log tail ---")
             print(log)
+
+
+def main() -> int:
+    run_leg("paced session: decide, gauges, sweep", SERVE_ARGS, lifecycle)
+    run_leg("back-to-back session, drained", BURST_ARGS, back_to_back)
+    return 0
 
 
 if __name__ == "__main__":
