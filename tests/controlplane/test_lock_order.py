@@ -16,6 +16,7 @@ import asyncio
 import contextlib
 import functools
 import signal
+import sys
 import threading
 import time
 
@@ -27,6 +28,8 @@ from repro.controlplane.service import LiveControlPlane, ServeConfig, _FifoLock
 #: Threads in line at once, and how many times a line forms.
 WAITERS = 8
 ROUNDS = 25
+#: Lock turns per thread in the contention test.
+TURNS = 500
 
 
 def _wait_until(predicate, timeout_s=10.0):
@@ -87,6 +90,40 @@ class TestArrivalOrder:
             assert _joined(threads)
             order.clear()
         lock.release()
+        assert _free(lock)
+
+    def test_one_holder_at_a_time_under_contention(self):
+        """More threads than cores, a thread switch invited inside every
+        turn: a lost update or a second holder shows in the counts."""
+        lock = _FifoLock()
+        count, inside, overlaps = [0], [0], []
+
+        def work():
+            for _ in range(TURNS):
+                with lock:
+                    inside[0] += 1
+                    if inside[0] != 1:
+                        overlaps.append(inside[0])
+                    value = count[0]
+                    time.sleep(0)
+                    count[0] = value + 1
+                    inside[0] -= 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, daemon=True)
+                for _ in range(WAITERS)
+            ]
+            for thread in threads:
+                thread.start()
+            assert _joined(threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert overlaps == []
+        assert count[0] == WAITERS * TURNS
+        assert not lock._waiters
         assert _free(lock)
 
     def test_release_of_an_unlocked_lock_raises(self):
