@@ -173,11 +173,6 @@ class TestInterruptedWait:
     main thread) gives up its place instead of wedging the line.  The
     lock has no owner, so the main thread can hold it and line up too."""
 
-    @pytest.fixture(autouse=True)
-    def _main_thread_only(self):
-        if threading.current_thread() is not threading.main_thread():
-            pytest.skip("signals interrupt only the main thread")
-
     def test_a_waiter_whose_wait_raises_leaves_the_line(self):
         lock = _FifoLock()
         order = []
