@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Static invariant checks over ``src/repro`` — tier-1 CI gate.
 
-Three repo-wide conventions are load-bearing enough to enforce
+Four repo-wide conventions are load-bearing enough to enforce
 mechanically rather than by review:
 
 **Percentile invariant.**  Latency percentiles are nearest-rank, never
@@ -27,6 +27,12 @@ imports is read somewhere in it: loaded, used as the root of an
 attribute, listed in ``__all__`` or named inside a string annotation.
 Docstrings and comments are not reads.  An import line marked
 ``# noqa: F401`` is exempt (a name other modules read as an attribute).
+
+**Lazy packages.**  No package ``__init__.py`` imports its own
+package's submodules at module level: a package maps each public name
+to its submodule and loads it on first access, so a command loads only
+the layers it runs.  ``repro.scenarios`` is the one exception: importing
+it registers the built-in scenarios.
 
 Violations print ``path:line: message`` and exit 1, so the CI log
 points straight at the offending statement.  Run from the repo root::
@@ -55,6 +61,11 @@ PERCENTILE_SANCTIONED = {
 }
 
 PERCENTILE_CALL = re.compile(r"\bnp\.percentile\s*\(")
+
+#: Package ``__init__`` files allowed to import their own submodules.
+EAGER_PACKAGES = {
+    "scenarios/__init__.py",  # importing spec and builtin registers them
+}
 
 #: (pattern, message) pairs banned everywhere under src/repro.
 SEEDING_BANS = [
@@ -158,6 +169,46 @@ def unread_imports(path: Path) -> list[str]:
     ]
 
 
+def eager_package_imports(path: Path, src_root: Path) -> list[str]:
+    """``path:line`` for each module-level import of the package's own
+    submodules in a package ``__init__.py``."""
+    rel = path.relative_to(src_root).as_posix()
+    if path.name != "__init__.py" or rel in EAGER_PACKAGES:
+        return []
+    package = ".".join(["repro", *path.relative_to(src_root).parent.parts])
+    tree = ast.parse(path.read_text(), filename=str(path))
+    body, found = list(tree.body), []
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parent = ".".join(parts[: len(parts) - node.level + 1])
+                base = f"{parent}.{base}" if base else parent
+            # ``from pkg import name`` loads a submodule whether ``name``
+            # is one or a lazily exported attribute.
+            modules = [base]
+        else:
+            # Compound statements and class bodies run at import time;
+            # function bodies do not.
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body.extend(
+                    child for child in ast.iter_child_nodes(node)
+                    if isinstance(child, ast.stmt)
+                )
+            continue
+        if any(m == package or m.startswith(package + ".") for m in modules):
+            found.append(node.lineno)
+    return [
+        f"{path}:{lineno}: {package} imports its own submodules at module "
+        f"level — name them in the package's lazy export table instead"
+        for lineno in sorted(found)
+    ]
+
+
 def check_file(path: Path, src_root: Path) -> list[str]:
     rel = path.relative_to(src_root).as_posix()
     violations: list[str] = []
@@ -177,7 +228,11 @@ def check_file(path: Path, src_root: Path) -> list[str]:
                 f"sanctioned sites — go through repro.sim.metrics."
                 f"percentile (nearest-rank) instead"
             )
-    return violations + unread_imports(path)
+    return (
+        violations
+        + unread_imports(path)
+        + eager_package_imports(path, src_root)
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

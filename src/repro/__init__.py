@@ -23,9 +23,13 @@ Layering (bottom-up):
   (:mod:`repro.sim.sweep`: policies × rates × seeds grids over
   multiprocessing workers with an on-disk resume cache).
 - :mod:`repro.experiments` — drivers for the paper's Figures 5–7; all
-  three route their independent grid points through
-  :mod:`repro.sim.sweep`, so ``workers=N`` parallelises any figure
-  without changing a single reported number.
+  three route their independent grid points through the execution
+  backends of :mod:`repro.sim.backends`, so ``workers=N`` parallelises
+  any figure without changing a single reported number.
+
+Every package exports its public names lazily (PEP 562): a name loads
+its submodule on first access, so a command loads only the layers it
+runs.
 
 Quickstart::
 
@@ -36,60 +40,61 @@ Quickstart::
 
 from __future__ import annotations
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
 
-from repro.errors import ReproError
-from repro.rng import RngRegistry
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "RngRegistry",
-    "quickstart_comparison",
-    # convenience re-exports of the most-used entry points; the full
-    # API lives in the subpackages.
-    "build_nutch_service",
-    "standard_policies",
-    "PCSScheduler",
-    "ExperimentRunner",
-    "RunnerConfig",
-    "SweepSpec",
-    "ParallelSweepRunner",
-    "ScenarioSpec",
-    "get_scenario",
-    "register_scenario",
-    "scenario_names",
-]
+def _lazy_exports(package: str, table: dict):
+    """PEP 562 hooks for a package whose public names live in submodules.
+
+    ``table`` maps each public name to the submodule of ``package``
+    (a dotted path relative to it) that defines the name.  Returns
+    ``(__all__, __getattr__, __dir__)`` for the package to bind: the
+    first access to a name imports its submodule and caches the name
+    in the package, so ``from repro.<pkg> import name`` loads only the
+    modules that name needs.  An unknown name raises
+    :class:`AttributeError`, which also lets ``from repro.<pkg> import
+    <submodule>`` fall through to the import system.
+    """
+
+    def __getattr__(name: str):
+        module = table.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(table))
+
+    return list(table), __getattr__, __dir__
 
 
-def __getattr__(name):  # lazy re-exports keep `import repro` light
-    if name == "build_nutch_service":
-        from repro.service.nutch import build_nutch_service
-
-        return build_nutch_service
-    if name == "standard_policies":
-        from repro.baselines.policies import standard_policies
-
-        return standard_policies
-    if name == "PCSScheduler":
-        from repro.scheduler.pcs import PCSScheduler
-
-        return PCSScheduler
-    if name in ("ExperimentRunner", "RunnerConfig"):
-        from repro.sim import runner as _runner
-
-        return getattr(_runner, name)
-    if name in ("SweepSpec", "ParallelSweepRunner"):
-        from repro.sim import sweep as _sweep
-
-        return getattr(_sweep, name)
-    if name in (
-        "ScenarioSpec", "get_scenario", "register_scenario", "scenario_names"
-    ):
-        from repro import scenarios as _scenarios
-
-        return getattr(_scenarios, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The most-used entry points; the full API lives in the subpackages.
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ReproError": "errors",
+        "RngRegistry": "rng",
+        "build_nutch_service": "service.nutch",
+        "standard_policies": "baselines.policies",
+        "PCSScheduler": "scheduler.pcs",
+        "ExperimentRunner": "sim.runner",
+        "RunnerConfig": "sim.runner",
+        "SweepSpec": "sim.sweep",
+        "ParallelSweepRunner": "sim.sweep",
+        "ScenarioSpec": "scenarios",
+        "get_scenario": "scenarios",
+        "register_scenario": "scenarios",
+        "scenario_names": "scenarios",
+    },
+)
+__all__ += ["__version__", "quickstart_comparison"]
 
 
 def quickstart_comparison(arrival_rate: float = 100.0, seed: int = 0, **kwargs):

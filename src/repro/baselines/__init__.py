@@ -17,22 +17,21 @@ Six request-routing/mitigation policies share one interface:
 
 The policies only *describe* behaviour; the sample-path mechanics live
 in :mod:`repro.sim.queue_sim`.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.baselines.policies import (
-    BasicPolicy,
-    PCSPolicy,
-    Policy,
-    REDPolicy,
-    ReissuePolicy,
-    standard_policies,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Policy",
-    "BasicPolicy",
-    "REDPolicy",
-    "ReissuePolicy",
-    "PCSPolicy",
-    "standard_policies",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Policy": "policies",
+        "BasicPolicy": "policies",
+        "REDPolicy": "policies",
+        "ReissuePolicy": "policies",
+        "PCSPolicy": "policies",
+        "standard_policies": "policies",
+    },
+)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.baselines.routing import (
     AdaptiveHedgeKernel,
@@ -30,7 +30,9 @@ from repro.baselines.routing import (
     routing_kernel_for,
 )
 from repro.errors import ConfigurationError
-from repro.scheduler.pcs import SchedulerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scheduler.pcs import SchedulerConfig
 
 __all__ = [
     "InducedLoad",
@@ -415,12 +417,21 @@ register_routing_kernel(
 )
 
 
+def _default_scheduler_config() -> "SchedulerConfig":
+    # Late: only a PCS policy loads the scheduler and the model under it.
+    from repro.scheduler.pcs import SchedulerConfig
+
+    return SchedulerConfig()
+
+
 @dataclass(frozen=True)
 class PCSPolicy(Policy):
     """Basic routing + predictive component-level scheduling."""
 
     name: str = "PCS"
-    scheduler_config: SchedulerConfig = field(default_factory=SchedulerConfig)
+    scheduler_config: SchedulerConfig = field(
+        default_factory=_default_scheduler_config
+    )
     use_oracle: bool = False  # ablation: ground-truth predictor
     hierarchical_group_size: Optional[int] = None
 

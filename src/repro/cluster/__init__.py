@@ -8,32 +8,26 @@ bandwidth), hosts a bounded number of machines, and exposes, for every
 resident program, the *contention vector* ``U`` imposed by its
 co-runners plus the node's own hardware/software background activity
 (§II-A).
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.machine import Machine, MachineKind
-from repro.cluster.node import Node, NodeCapacity
-from repro.cluster.placement import (
-    least_loaded_placement,
-    random_placement,
-    round_robin_placement,
-)
-from repro.cluster.resources import (
-    RESOURCE_KINDS,
-    ResourceKind,
-    ResourceVector,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ResourceKind",
-    "RESOURCE_KINDS",
-    "ResourceVector",
-    "Machine",
-    "MachineKind",
-    "Node",
-    "NodeCapacity",
-    "Cluster",
-    "round_robin_placement",
-    "random_placement",
-    "least_loaded_placement",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ResourceKind": "resources",
+        "RESOURCE_KINDS": "resources",
+        "ResourceVector": "resources",
+        "Machine": "machine",
+        "MachineKind": "machine",
+        "Node": "node",
+        "NodeCapacity": "node",
+        "Cluster": "cluster",
+        "round_robin_placement": "placement",
+        "random_placement": "placement",
+        "least_loaded_placement": "placement",
+    },
+)

@@ -38,26 +38,24 @@ bit-identical on ``metrics_dict()``), :class:`WallClock` paces the
 same seeded world against real time.  The HTTP surface
 (:mod:`repro.controlplane.http`) speaks only to the service layer
 (:mod:`repro.controlplane.service`), never to phases directly.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.controlplane.clock import Clock, VirtualClock, WallClock
-from repro.controlplane.loop import ControlLoop
-from repro.controlplane.phases import (
-    ActuatePhase,
-    DecidePhase,
-    MonitorPhase,
-    MonitorSnapshot,
-    PredictPhase,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Clock",
-    "VirtualClock",
-    "WallClock",
-    "ControlLoop",
-    "MonitorSnapshot",
-    "MonitorPhase",
-    "PredictPhase",
-    "DecidePhase",
-    "ActuatePhase",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Clock": "clock",
+        "VirtualClock": "clock",
+        "WallClock": "clock",
+        "ControlLoop": "loop",
+        "MonitorSnapshot": "phases",
+        "MonitorPhase": "phases",
+        "PredictPhase": "phases",
+        "DecidePhase": "phases",
+        "ActuatePhase": "phases",
+    },
+)

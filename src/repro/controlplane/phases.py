@@ -16,20 +16,24 @@ draws and no additional arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Set
 
 import numpy as np
 
 from repro.baselines.policies import InducedLoad
 from repro.errors import ControlPlaneError
-from repro.model.matrix import MatrixInputs
 from repro.model.predictor import LatencyPredictor, TrainedPredictor
-from repro.model.training import TrainingSet, train_combined_model
 from repro.monitoring.monitor import OnlineMonitor
 from repro.monitoring.streaming import ReissueThresholdFeed, RollingGauge
 from repro.scheduler.migration import MigrationExecutor
-from repro.scheduler.pcs import SchedulingOutcome
 from repro.service.topology import ResolvedClassMix
+
+# The predict phase imports the matrix and Eq. 1's fitting late: only a
+# policy that schedules ever calls them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.matrix import MatrixInputs
+    from repro.model.training import TrainingSet
+    from repro.scheduler.pcs import SchedulingOutcome
 
 __all__ = [
     "MonitorSnapshot",
@@ -180,6 +184,8 @@ class PredictPhase:
 
     def inputs(self, snapshot: MonitorSnapshot) -> MatrixInputs:
         """Build Algorithm 1's inputs from one monitor snapshot."""
+        from repro.model.matrix import MatrixInputs
+
         service = self.service
         classes = self.classes
         components = service.components
@@ -272,6 +278,8 @@ class PredictPhase:
         """
         if not self.retrain_every:
             return
+        from repro.model.training import TrainingSet
+
         for cls in self.service.classes():
             rep = self.service.representative(cls)
             contention = monitor.observe_window(rep, self.interval_s)
@@ -297,6 +305,8 @@ class PredictPhase:
             len(ts) < MIN_RETRAIN_SAMPLES for ts in self._training.values()
         ):
             return None
+        from repro.model.training import train_combined_model
+
         models, scvs = {}, {}
         for cls, training in self._training.items():
             models[cls], scvs[cls] = train_combined_model(training)

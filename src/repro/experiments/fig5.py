@@ -14,7 +14,7 @@ error (paper: 63.33 %, 82.22 %, 96.67 % and 2.68 %).
 
 The six per-workload campaigns are independent, each drawing from its
 own named :class:`~repro.rng.RngRegistry` stream, and run through
-:func:`repro.sim.sweep.parallel_map` — so ``workers=N`` parallelises
+:func:`repro.sim.backends.parallel_map` — so ``workers=N`` parallelises
 the campaign without changing a single number (results are
 worker-count-independent by construction).
 """
@@ -33,8 +33,8 @@ from repro.model.training import TrainingSet, error_buckets
 from repro.rng import RngRegistry
 from repro.scenarios import get_scenario
 from repro.service.component import Component, ComponentClass
+from repro.sim.backends import parallel_map
 from repro.sim.profiling import ProfilingConfig, observe_condition
-from repro.sim.sweep import parallel_map
 from repro.simcore.distributions import LogNormal
 from repro.units import gb, mb, ms
 from repro.workloads.batch import BatchJobSpec

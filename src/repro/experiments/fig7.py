@@ -12,7 +12,7 @@ contention per node, the ground-truth oracle predictor (so timing
 measures the scheduler, not profiling).  It also times the §VI-D
 hierarchical strategy beyond 640 components.
 
-Grid points run through :func:`repro.sim.sweep.parallel_map`.  The
+Grid points run through :func:`repro.sim.backends.parallel_map`.  The
 default stays ``workers=1`` because co-timed points contend for cores
 and would inflate each other's wall-clock; use ``workers>1`` only for
 quick shape checks where absolute times don't matter.
@@ -30,14 +30,11 @@ from repro.errors import ExperimentError
 from repro.experiments.report import render_table
 from repro.interference.ground_truth import default_interference_model
 from repro.model.matrix import MatrixInputs
-from repro.scenarios import get_scenario
 from repro.model.predictor import OraclePredictor
 from repro.scheduler.hierarchical import HierarchicalScheduler
 from repro.scheduler.pcs import PCSScheduler, SchedulerConfig
 from repro.scheduler.threshold import StaticThreshold
 from repro.service.component import Component, ComponentClass
-from repro.sim.aggregate import SeedAggregate
-from repro.sim.sweep import parallel_map
 from repro.simcore.distributions import LogNormal
 from repro.units import ms
 
@@ -81,6 +78,9 @@ class Fig7Config:
         if self.repeats < 1:
             raise ExperimentError("repeats must be >= 1")
         if self.scenario is not None:
+            # Late, here and below: only a named scenario loads them.
+            from repro.scenarios import get_scenario
+
             get_scenario(self.scenario)  # fail fast on unknown names
 
 
@@ -161,6 +161,8 @@ def _scenario_rows(m: int, scenario: str, scale: float):
     driver asks for the same ones once per repeat; callers must treat
     the returned arrays as read-only (copy before handing them out).
     """
+    from repro.scenarios import get_scenario
+
     spec = get_scenario(scenario)
     comps = spec.build_service(spec.runner_config(scale=scale)).components
     rows = sorted(
@@ -206,8 +208,8 @@ def make_instance(
     demands = rng.uniform(0.5, 1.5, (m, 4)) * templates
     assignment = rng.integers(0, k, m)
     node_totals = np.zeros((k, 4))
-    for i in range(m):
-        node_totals[assignment[i]] += demands[i]
+    # Unbuffered and in index order: each node's sum is the loop's.
+    np.add.at(node_totals, assignment, demands)
     hot = rng.random(k) < 0.33
     batch = rng.uniform(0.0, 1.0, (k, 4)) * np.array([0.9, 40.0, 250.0, 90.0])
     node_totals += batch * hot[:, None]
@@ -233,6 +235,8 @@ def _oracle(config: Optional[Fig7Config] = None) -> OraclePredictor:
             default_interference_model(noise_sigma=0.0),
             {ComponentClass.SEARCHING: rep},
         )
+    from repro.scenarios import get_scenario
+
     spec = get_scenario(config.scenario)
     service = spec.build_service(spec.runner_config(scale=config.scale))
     reps = {cls: service.representative(cls) for cls in service.classes()}
@@ -252,6 +256,8 @@ def _measure_flat_point(args: Tuple[int, int, Fig7Config]) -> Fig7Point:
     Module-level and picklable so :func:`parallel_map` can ship it to a
     spawn worker.
     """
+    from repro.sim.aggregate import SeedAggregate  # late: see run_fig7
+
     m, k, cfg = args
     predictor = _oracle(cfg)
     sched_cfg = SchedulerConfig(threshold=StaticThreshold(ms(1)))
@@ -338,6 +344,10 @@ def run_fig7(
     ``workers > 1`` runs its few points inline; name ``backend`` to
     force processes.
     """
+    # Imported here so that building instances and deciding, all that
+    # a caller timing decisions needs, loads no sweep machinery.
+    from repro.sim.backends import parallel_map
+
     cfg = config or Fig7Config()
     est = point_cost_estimate_s(cfg)
     points: List[Fig7Point] = parallel_map(

@@ -6,16 +6,18 @@ sees* — the regressions of paper Eq. 1 must learn it from monitored
 samples, exactly as they learn real hardware.  Keeping it explicit gives
 the reproduction a controlled notion of "true" latency against which
 prediction error (Fig. 5) is measured.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.interference.ground_truth import (
-    InterferenceCoefficients,
-    InterferenceModel,
-    default_interference_model,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "InterferenceCoefficients",
-    "InterferenceModel",
-    "default_interference_model",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "InterferenceCoefficients": "ground_truth",
+        "InterferenceModel": "ground_truth",
+        "default_interference_model": "ground_truth",
+    },
+)

@@ -15,46 +15,32 @@
   implementation and a NumPy-vectorised fast path, tested equal.
 - :mod:`repro.model.training` — training sets, fitting pipeline and the
   prediction-error metrics of Fig. 5.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.model.combined import CombinedServiceTimeModel
-from repro.model.matrix import MatrixInputs, PerformanceMatrix
-from repro.model.predictor import (
-    LatencyPredictor,
-    OraclePredictor,
-    TrainedPredictor,
-)
-from repro.model.queueing import (
-    mg1_latency,
-    mg1_latency_array,
-    mg1_waiting_time,
-    utilisation,
-)
-from repro.model.regression import PolynomialRegressor
-from repro.model.service_latency import overall_latency, stage_latencies
-from repro.model.training import (
-    TrainingSet,
-    error_buckets,
-    mean_absolute_percentage_error,
-    train_combined_model,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PolynomialRegressor",
-    "CombinedServiceTimeModel",
-    "mg1_latency",
-    "mg1_latency_array",
-    "mg1_waiting_time",
-    "utilisation",
-    "stage_latencies",
-    "overall_latency",
-    "LatencyPredictor",
-    "TrainedPredictor",
-    "OraclePredictor",
-    "MatrixInputs",
-    "PerformanceMatrix",
-    "TrainingSet",
-    "train_combined_model",
-    "mean_absolute_percentage_error",
-    "error_buckets",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "PolynomialRegressor": "regression",
+        "CombinedServiceTimeModel": "combined",
+        "mg1_latency": "queueing",
+        "mg1_latency_array": "queueing",
+        "mg1_waiting_time": "queueing",
+        "utilisation": "queueing",
+        "stage_latencies": "service_latency",
+        "overall_latency": "service_latency",
+        "LatencyPredictor": "predictor",
+        "TrainedPredictor": "predictor",
+        "OraclePredictor": "predictor",
+        "MatrixInputs": "matrix",
+        "PerformanceMatrix": "matrix",
+        "TrainingSet": "training",
+        "train_combined_model": "training",
+        "mean_absolute_percentage_error": "training",
+        "error_buckets": "training",
+    },
+)

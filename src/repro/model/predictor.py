@@ -17,15 +17,17 @@ Two implementations of the same interface:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.interference.ground_truth import InterferenceModel
-from repro.model.combined import CombinedServiceTimeModel
 from repro.model.queueing import DEFAULT_RHO_MAX
 from repro.service.component import Component, ComponentClass
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.combined import CombinedServiceTimeModel
 
 __all__ = ["LatencyPredictor", "TrainedPredictor", "OraclePredictor"]
 

@@ -9,13 +9,18 @@ therefore sees *estimates*, never the simulator's ground truth.  The
 service's request arrival rate is profiled from its log by the control
 plane's monitor phase (:class:`~repro.controlplane.phases.MonitorPhase`),
 as the window's request count over its length.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
-from repro.monitoring.streaming import P2Quantile
+from repro import _lazy_exports
 
-__all__ = [
-    "MonitorConfig",
-    "OnlineMonitor",
-    "P2Quantile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "MonitorConfig": "monitor",
+        "OnlineMonitor": "monitor",
+        "P2Quantile": "streaming",
+    },
+)

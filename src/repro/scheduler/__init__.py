@@ -10,26 +10,24 @@
   services beyond ~640 components.
 - :mod:`repro.scheduler.migration` — enforcement of the allocation
   array on a cluster, with the paper's migration-cost model.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.scheduler.hierarchical import HierarchicalScheduler
-from repro.scheduler.migration import MigrationCostModel, MigrationExecutor
-from repro.scheduler.pcs import (
-    Migration,
-    PCSScheduler,
-    SchedulerConfig,
-    SchedulingOutcome,
-)
-from repro.scheduler.threshold import AdaptiveThreshold, StaticThreshold
+from repro import _lazy_exports
 
-__all__ = [
-    "SchedulerConfig",
-    "Migration",
-    "SchedulingOutcome",
-    "PCSScheduler",
-    "StaticThreshold",
-    "AdaptiveThreshold",
-    "HierarchicalScheduler",
-    "MigrationExecutor",
-    "MigrationCostModel",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "SchedulerConfig": "pcs",
+        "Migration": "pcs",
+        "SchedulingOutcome": "pcs",
+        "PCSScheduler": "pcs",
+        "StaticThreshold": "threshold",
+        "AdaptiveThreshold": "threshold",
+        "HierarchicalScheduler": "hierarchical",
+        "MigrationExecutor": "migration",
+        "MigrationCostModel": "migration",
+    },
+)

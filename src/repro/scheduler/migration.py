@@ -17,13 +17,15 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineKind
 from repro.errors import SchedulingError
-from repro.scheduler.pcs import SchedulingOutcome
 from repro.service.component import Component
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scheduler.pcs import SchedulingOutcome
 
 __all__ = ["MigrationCostModel", "MigrationExecutor"]
 

@@ -16,20 +16,23 @@ the general shape:
   sequentially (paper Eq. 4);
 - :func:`~repro.service.nutch.build_nutch_service` builds the paper's
   Fig. 1 topology.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.service.component import Component, ComponentClass
-from repro.service.nutch import NutchConfig, build_nutch_service
-from repro.service.service import OnlineService
-from repro.service.topology import ReplicaGroup, ServiceTopology, Stage
+from repro import _lazy_exports
 
-__all__ = [
-    "Component",
-    "ComponentClass",
-    "ReplicaGroup",
-    "Stage",
-    "ServiceTopology",
-    "OnlineService",
-    "NutchConfig",
-    "build_nutch_service",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Component": "component",
+        "ComponentClass": "component",
+        "ReplicaGroup": "topology",
+        "Stage": "topology",
+        "ServiceTopology": "topology",
+        "OnlineService": "service",
+        "NutchConfig": "nutch",
+        "build_nutch_service": "nutch",
+    },
+)

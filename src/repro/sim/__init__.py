@@ -32,60 +32,40 @@
 - :mod:`repro.sim.aggregate` — the shared seed-level reduction:
   mean/std/min/max plus Student-t and nearest-rank bootstrap confidence
   intervals over every reported metric, grouped per (policy, rate).
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.sim.aggregate import (
-    AggregateConfig,
-    MetricStats,
-    SeedAggregate,
-    SweepSummary,
-    flatten_metrics,
-)
-from repro.sim.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-)
-from repro.sim.estimators import (
-    IntervalAccumulatorSet,
-    LatencyAccumulator,
-    ReservoirSampler,
-)
-from repro.sim.metrics import LatencySummary, percentile, pool, summarize
-from repro.sim.queue_sim import IntervalOutcome, simulate_service_interval
-from repro.sim.runner import PolicyResult, RunnerConfig, ExperimentRunner
-from repro.sim.sweep import (
-    ParallelSweepRunner,
-    SweepCache,
-    SweepResult,
-    SweepSpec,
-    parallel_map,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LatencySummary",
-    "percentile",
-    "pool",
-    "summarize",
-    "IntervalOutcome",
-    "simulate_service_interval",
-    "LatencyAccumulator",
-    "ReservoirSampler",
-    "IntervalAccumulatorSet",
-    "RunnerConfig",
-    "PolicyResult",
-    "ExperimentRunner",
-    "SweepSpec",
-    "SweepResult",
-    "SweepCache",
-    "ParallelSweepRunner",
-    "parallel_map",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "AggregateConfig",
-    "MetricStats",
-    "SeedAggregate",
-    "SweepSummary",
-    "flatten_metrics",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "LatencySummary": "metrics",
+        "percentile": "metrics",
+        "pool": "metrics",
+        "summarize": "metrics",
+        "IntervalOutcome": "queue_sim",
+        "simulate_service_interval": "queue_sim",
+        "LatencyAccumulator": "estimators",
+        "ReservoirSampler": "estimators",
+        "IntervalAccumulatorSet": "estimators",
+        "RunnerConfig": "runner",
+        "PolicyResult": "runner",
+        "ExperimentRunner": "runner",
+        "SweepSpec": "sweep",
+        "SweepResult": "sweep",
+        "SweepCache": "sweep",
+        "ParallelSweepRunner": "sweep",
+        "parallel_map": "backends",
+        "ExecutionBackend": "backends",
+        "SerialBackend": "backends",
+        "ProcessBackend": "backends",
+        "AggregateConfig": "aggregate",
+        "MetricStats": "aggregate",
+        "SeedAggregate": "aggregate",
+        "SweepSummary": "aggregate",
+        "flatten_metrics": "aggregate",
+    },
+)

@@ -53,15 +53,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.rng import RngRegistry
 from repro.sim.metrics import percentile
-from repro.sim.runner import PolicyResult
 from repro.stats import norm_cdf, norm_ppf
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.runner import PolicyResult
 
 __all__ = [
     "AggregateConfig",
@@ -449,6 +460,9 @@ class SeedAggregate:
         sorted before reduction so the result is independent of the
         mapping's insertion (i.e. completion) order.
         """
+        # Late: reducing plain records (Fig. 7's timings) needs no runner.
+        from repro.sim.runner import PolicyResult
+
         if not per_seed:
             raise ExperimentError(
                 f"no per-seed results for {policy_name} @ {arrival_rate:g}"

@@ -66,10 +66,8 @@ explicitly.
 
 from __future__ import annotations
 
-import multiprocessing
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Iterator, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkerTaskError
 
@@ -83,6 +81,7 @@ __all__ = [
     "auto_backend",
     "backend_from_name",
     "resolve_backend",
+    "parallel_map",
 ]
 
 #: The names :func:`backend_from_name` accepts (the CLI adds ``auto``).
@@ -108,11 +107,6 @@ SERIAL_AUTO_THRESHOLD = 8
 #: for a quick-Fig. 6 point.  The cutoff stays about three times that,
 #: the factor by which the spec-based point-cost estimates may be off.
 EXPENSIVE_POINT_CUTOFF_S = 2.0
-
-#: The one process start method: spawn, so workers inherit no locks
-#: or numpy state from the coordinator.
-_SPAWN = multiprocessing.get_context("spawn")
-
 
 def _wrap_failure(index: int, exc: BaseException) -> WorkerTaskError:
     """One uniform wrapper so every backend reports failures alike."""
@@ -197,8 +191,19 @@ class ProcessBackend(ExecutionBackend):
         items = list(items)
         if not items:
             return
+        # Imported here so that only a pool that starts pays for them.
+        # Spawn is the one start method: workers inherit no locks or
+        # numpy state from the coordinator.
+        import multiprocessing
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items)), mp_context=_SPAWN
+            max_workers=min(self.workers, len(items)),
+            mp_context=multiprocessing.get_context("spawn"),
         ) as pool:
             index_of = {
                 pool.submit(_run_unit, fn, index, item): index
@@ -343,3 +348,34 @@ def auto_backend(
     if cheap and n_tasks <= SERIAL_AUTO_THRESHOLD:
         return SerialBackend()
     return ProcessBackend(workers)
+
+
+def parallel_map(
+    fn: Callable,
+    items: Sequence,
+    workers: int = 1,
+    backend: Union[str, ExecutionBackend, None] = None,
+    est_cost_s: Optional[float] = None,
+) -> list:
+    """Order-preserving map over an execution backend.
+
+    ``backend`` is an :class:`ExecutionBackend`, a name
+    (``serial``/``process``), or ``None``/``"auto"`` for the default
+    rule: spawn processes when ``est_cost_s`` (the caller's expected
+    per-item compute) marks the items expensive or the batch is large,
+    inline otherwise.  For the process backend ``fn`` must be a
+    module-level function and every item picklable (spawn re-imports
+    the module in each worker).
+
+    Failure contract (uniform across backends, including serial): a
+    raising ``fn`` surfaces as :class:`~repro.errors.WorkerTaskError`
+    carrying the failing item's index, chained to the original
+    exception where no pickle boundary intervenes.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    items = list(items)
+    resolved = resolve_backend(
+        backend, workers, len(items), est_cost_s=est_cost_s
+    )
+    return resolved.map(fn, items)

@@ -18,7 +18,7 @@ component class suffices for the whole service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +28,14 @@ from repro.cluster.node import Node, NodeCapacity
 from repro.errors import ExperimentError
 from repro.interference.ground_truth import InterferenceModel
 from repro.model.predictor import TrainedPredictor
-from repro.model.training import TrainingSet, train_combined_model
 from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
 from repro.service.component import Component, ComponentClass
 from repro.service.service import OnlineService
 from repro.units import gb, mb
 from repro.workloads.batch import BatchJob, BatchJobSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.training import TrainingSet
 
 __all__ = [
     "ProfilingConfig",
@@ -161,6 +163,9 @@ def profile_component(
     (monitored contention, mean observed service time) over
     ``repetitions`` windows.
     """
+    # Late: only a run that trains the predictor loads Eq. 1's fitting.
+    from repro.model.training import TrainingSet
+
     if not conditions:
         raise ExperimentError("need at least one profiling condition")
     training = TrainingSet()
@@ -192,6 +197,8 @@ def train_predictor_for_service(
     n_mixed_conditions: int = 60,
 ) -> TrainedPredictor:
     """Profile one representative per class (§VI-D) and fit Eq. 1 models."""
+    from repro.model.training import train_combined_model
+
     cfg = config or ProfilingConfig()
     conds = (
         list(conditions)

@@ -53,9 +53,7 @@ from repro.model.predictor import LatencyPredictor, OraclePredictor
 from repro.monitoring.monitor import MonitorConfig, OnlineMonitor
 from repro.monitoring.streaming import ReissueThresholdFeed
 from repro.rng import RngRegistry
-from repro.scheduler.hierarchical import HierarchicalScheduler
 from repro.scheduler.migration import MigrationCostModel, MigrationExecutor
-from repro.scheduler.pcs import PCSScheduler
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.service.nutch import NutchConfig
 from repro.service.topology import ResolvedClassMix
@@ -557,6 +555,10 @@ class ExperimentRunner:
         scheduler = None
         executor = None
         if policy.schedules:
+            # Late: a routing-only run never loads the decide stack.
+            from repro.scheduler.hierarchical import HierarchicalScheduler
+            from repro.scheduler.pcs import PCSScheduler
+
             assert isinstance(policy, PCSPolicy)
             predictor = (
                 self.oracle_predictor()

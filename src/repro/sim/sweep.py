@@ -143,7 +143,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.baselines.policies import (
     AdaptiveHedgePolicy,
@@ -167,6 +167,7 @@ from repro.errors import (
 from repro.sim.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
+    parallel_map,
     resolve_backend,
 )
 from repro.sim.runner import ExperimentRunner, PolicyResult, RunnerConfig
@@ -827,37 +828,6 @@ def _execute_task(task: Tuple[RunnerConfig, Policy]) -> PolicyResult:
     """Backend-shaped trampoline: one picklable argument per task."""
     config, policy = task
     return _execute_point(config, policy)
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    workers: int = 1,
-    backend: Union[str, ExecutionBackend, None] = None,
-    est_cost_s: Optional[float] = None,
-) -> list:
-    """Order-preserving map over an execution backend.
-
-    ``backend`` is an :class:`~repro.sim.backends.ExecutionBackend`, a
-    name (``serial``/``process``), or ``None``/``"auto"`` for the
-    default rule: spawn processes when ``est_cost_s`` (the caller's
-    expected per-item compute) marks the items expensive or the batch
-    is large, inline otherwise.  For the process backend ``fn`` must be
-    a module-level function and every item picklable (spawn re-imports
-    the module in each worker).
-
-    Failure contract (uniform across backends, including serial): a
-    raising ``fn`` surfaces as :class:`~repro.errors.WorkerTaskError`
-    carrying the failing item's index, chained to the original
-    exception where no pickle boundary intervenes.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    items = list(items)
-    resolved = resolve_backend(
-        backend, workers, len(items), est_cost_s=est_cost_s
-    )
-    return resolved.map(fn, items)
 
 
 # ----------------------------------------------------------------------

@@ -13,33 +13,26 @@ This subpackage provides the machinery every higher layer builds on:
 - :mod:`repro.simcore.lindley` — the FIFO single-server queue sample
   path (Lindley recursion), as a legible pure-Python reference and as
   the NumPy-vectorised production kernel.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.simcore.distributions import (
-    Deterministic,
-    Distribution,
-    Exponential,
-    LogNormal,
-    Pareto,
-)
-from repro.simcore.engine import SimulationEngine
-from repro.simcore.events import Event, EventQueue
-from repro.simcore.lindley import (
-    lindley_waits,
-    lindley_waits_reference,
-    sojourn_times,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
-    "Distribution",
-    "Deterministic",
-    "Exponential",
-    "LogNormal",
-    "Pareto",
-    "lindley_waits",
-    "lindley_waits_reference",
-    "sojourn_times",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Event": "events",
+        "EventQueue": "events",
+        "SimulationEngine": "engine",
+        "Distribution": "distributions",
+        "Deterministic": "distributions",
+        "Exponential": "distributions",
+        "LogNormal": "distributions",
+        "Pareto": "distributions",
+        "lindley_waits": "lindley",
+        "lindley_waits_reference": "lindley",
+        "sojourn_times": "lindley",
+    },
+)

@@ -14,32 +14,27 @@ cause the time-varying interference PCS reacts to (§II-B):
 - :mod:`repro.workloads.traces` — request arrival-rate profiles
   (stationary, diurnal, burst, flash crowd) that scale the service's
   base rate interval by interval.
+
+The names in ``__all__`` load on first access: importing the package
+imports none of its submodules.
 """
 
-from repro.workloads.batch import BatchJob, BatchJobSpec
-from repro.workloads.generator import BatchJobGenerator, GeneratorConfig
-from repro.workloads.profiles import (
-    ALL_PROFILES,
-    HADOOP_PROFILES,
-    SPARK_PROFILES,
-    Framework,
-    SaturatingCurve,
-    Semantics,
-    WorkloadProfile,
-    get_profile,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Framework",
-    "Semantics",
-    "SaturatingCurve",
-    "WorkloadProfile",
-    "ALL_PROFILES",
-    "HADOOP_PROFILES",
-    "SPARK_PROFILES",
-    "get_profile",
-    "BatchJobSpec",
-    "BatchJob",
-    "BatchJobGenerator",
-    "GeneratorConfig",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Framework": "profiles",
+        "Semantics": "profiles",
+        "SaturatingCurve": "profiles",
+        "WorkloadProfile": "profiles",
+        "ALL_PROFILES": "profiles",
+        "HADOOP_PROFILES": "profiles",
+        "SPARK_PROFILES": "profiles",
+        "get_profile": "profiles",
+        "BatchJobSpec": "batch",
+        "BatchJob": "batch",
+        "BatchJobGenerator": "generator",
+        "GeneratorConfig": "generator",
+    },
+)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.policies import BasicPolicy, REDPolicy, ReissuePolicy
 from repro.errors import ExperimentError
@@ -272,6 +274,33 @@ class TestFig7:
             Fig7Config(sizes=())
         with pytest.raises(ExperimentError):
             Fig7Config(repeats=0)
+
+
+def _row_loop_node_totals(m, k, seed):
+    """``make_instance``'s node totals from the same draws, with the
+    demands added one component row at a time."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 3, m)  # stage_of
+    demands = rng.uniform(0.5, 1.5, (m, 4)) * np.array([0.04, 1.0, 4.0, 1.5])
+    assignment = rng.integers(0, k, m)
+    node_totals = np.zeros((k, 4))
+    for i in range(m):
+        node_totals[assignment[i]] += demands[i]
+    hot = rng.random(k) < 0.33
+    batch = rng.uniform(0.0, 1.0, (k, 4)) * np.array([0.9, 40.0, 250.0, 90.0])
+    return node_totals + batch * hot[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(3, 3000),
+    k=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_make_instance_node_totals_equal_the_row_loop(m, k, seed):
+    inputs = make_instance(m, k, np.random.default_rng(seed))
+    expected = _row_loop_node_totals(m, k, seed)
+    assert inputs.node_totals.tobytes() == expected.tobytes()
 
 
 @pytest.mark.tier2

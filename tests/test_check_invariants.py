@@ -96,3 +96,56 @@ def test_unread_import_reported_with_file_and_line(tmp_path):
     assert proc.returncode == 1
     assert f"{mod}:3: 'path' is imported and never read" in proc.stderr
     assert "1 violation(s)" in proc.stderr
+
+
+def test_eager_package_import_reported_with_file_and_line(tmp_path):
+    pkg = tmp_path / "sim"
+    pkg.mkdir()
+    init = pkg / "__init__.py"
+    init.write_text(
+        '"""A package that loads every submodule when imported."""\n'
+        "from repro import _lazy_exports\n"
+        "from repro.sim.runner import ExperimentRunner\n"
+        "from . import sweep\n"
+        "if True:\n"
+        "    import repro.sim.metrics\n"
+        "def late():\n"
+        "    from repro.sim.aggregate import SeedAggregate\n"
+        "    return SeedAggregate\n"
+        '__all__ = ["ExperimentRunner", "sweep", "late"]\n'
+    )
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    for lineno in (3, 4, 6):
+        assert (
+            f"{init}:{lineno}: repro.sim imports its own submodules"
+            in proc.stderr
+        )
+    assert "3 violation(s)" in proc.stderr
+
+
+def test_lazy_export_table_passes(tmp_path):
+    pkg = tmp_path / "sim"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from repro import _lazy_exports\n"
+        "from .. import errors\n"
+        "__all__, __getattr__, __dir__ = _lazy_exports(\n"
+        '    __name__, {"ExperimentRunner": "runner"}\n'
+        ")\n"
+    )
+    (tmp_path / "__init__.py").write_text("import importlib\n")
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scenarios_package_may_register_its_builtins(tmp_path):
+    pkg = tmp_path / "scenarios"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from repro.scenarios.spec import get_scenario\n"
+        "from repro.scenarios import builtin as _builtin  # noqa: F401\n"
+        '__all__ = ["get_scenario"]\n'
+    )
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
